@@ -1,24 +1,17 @@
-// E8 — the distributed node runtime: what the real-TCP data plane costs
-// relative to the in-process simulated cluster on the same computation.
-//
-// Both benchmarks run the Figure-2 heat grid; one on `cluster::Cluster`
-// (shared-memory SimNetwork), one across two in-process NodeAgents
-// connected by real sockets with the full wire protocol (framing,
-// checksums, DEP_RECORD round-trips to the coordinator). The gap is the
-// price of distribution — the paper's LAN numbers, shrunk to loopback.
+// E8 — the distributed node runtime: the Figure-2 heat grid across two
+// in-process NodeAgents connected by real sockets with the full wire
+// protocol (framing, checksums, DEP_RECORD round-trips to the
+// coordinator) — the paper's LAN numbers, shrunk to loopback.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <filesystem>
 
-#include "dnode/agent.hpp"
-#include "dnode/coord.hpp"
+#include "dnode/local.hpp"
 #include "gridapp/heat.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
 
-namespace fs = std::filesystem;
 using namespace mojave;
 
 gridapp::HeatConfig bench_grid() {
@@ -31,46 +24,16 @@ gridapp::HeatConfig bench_grid() {
   return cfg;
 }
 
-fs::path bench_storage() {
-  const fs::path dir = fs::temp_directory_path() / "mojave_bench_dnode";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-/// Baseline: the same grid on the single-process simulated cluster.
-void BM_HeatSimulatedCluster(benchmark::State& state) {
-  const auto cfg = bench_grid();
-  double insns = 0;
-  for (auto _ : state) {
-    cluster::ClusterConfig ccfg;
-    ccfg.recv_timeout_seconds = 30.0;
-    const auto run = gridapp::run_heat(cfg, ccfg);
-    if (!run.all_clean) state.SkipWithError("simulated run failed");
-    benchmark::DoNotOptimize(run.sums.data());
-    insns = 0;
-    for (const auto& node : run.nodes) {
-      insns += static_cast<double>(node.instructions);
-    }
-  }
-  state.counters["vm_minsns"] = insns / 1e6;
-}
-
 /// The distributed runtime: two agents, real TCP, full join protocol.
 void BM_HeatTwoNodeAgents(benchmark::State& state) {
   const auto cfg = bench_grid();
-  const fs::path storage = bench_storage();
   double insns = 0;
   for (auto _ : state) {
-    dnode::AgentConfig acfg;
-    acfg.storage_root = storage;
-    dnode::NodeAgent a0(acfg), a1(acfg);
-
+    dnode::LocalCluster cluster(2);
     dnode::CoordinatorConfig ccfg;
-    ccfg.agents = {{"127.0.0.1", a0.port()}, {"127.0.0.1", a1.port()}};
     ccfg.num_ranks = cfg.nodes;
     ccfg.recv_timeout_seconds = 30.0;
-    dnode::Coordinator coord(std::move(ccfg));
+    dnode::Coordinator& coord = cluster.start(std::move(ccfg));
     coord.launch_spmd(gridapp::heat_program(cfg));
     if (!coord.wait_all(120.0)) state.SkipWithError("distributed run hung");
     insns = 0;
@@ -78,15 +41,12 @@ void BM_HeatTwoNodeAgents(benchmark::State& state) {
       if (r.result_kind != 0) state.SkipWithError("rank failed");
       insns += static_cast<double>(r.instructions);
     }
-    coord.shutdown_agents();
   }
   state.counters["vm_minsns"] = insns / 1e6;
 }
 
 }  // namespace
 
-BENCHMARK(BM_HeatSimulatedCluster)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_HeatTwoNodeAgents)
     ->Unit(benchmark::kMillisecond)->MinTime(0.5);
 

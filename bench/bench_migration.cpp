@@ -12,7 +12,7 @@
 // (binary) migration is several times faster and transfer-bound to a much
 // larger degree. Absolute numbers differ (2007 dual-700MHz vs this host;
 // native codegen vs bytecode lowering); the network term uses the paper's
-// 100 Mbps link via the simulated-network cost model, plus a real loopback
+// 100 Mbps link via a bandwidth + latency cost model, plus a real loopback
 // TCP transfer for reference.
 //
 // Rows: heap size ∈ {200 KB, 1 MB, 5 MB} × {FIR, binary}. Counters give
@@ -28,7 +28,6 @@
 #include "migrate/wire.hpp"
 #include "net/chaos.hpp"
 #include "net/retry.hpp"
-#include "net/sim.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
@@ -39,11 +38,19 @@ namespace {
 using namespace mojave;
 using mojave::Stopwatch;
 
+// The paper's interconnect: 100 Mbps Ethernet, 100 us per message.
+constexpr double kLinkBytesPerSecond = 100e6 / 8.0;
+constexpr double kLinkLatencySeconds = 100e-6;
+
+double link_transfer_seconds(std::size_t bytes) {
+  return kLinkLatencySeconds +
+         static_cast<double>(bytes) / kLinkBytesPerSecond;
+}
+
 void run_migration(benchmark::State& state, migrate::ImageKind kind) {
   const auto heap_kb = static_cast<std::size_t>(state.range(0));
   const auto code_funcs = static_cast<std::size_t>(state.range(1));
   auto workload = bench::make_migratable_process(heap_kb, code_funcs);
-  net::SimNetwork net(2);  // the paper's 100 Mbps link model
 
   // A loopback sink that acks frames, to measure a real TCP leg too.
   net::TcpListener sink(0);
@@ -57,7 +64,7 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
   });
 
   double pack_s = 0, unpack_s = 0, recompile_s = 0, typecheck_s = 0,
-         sim_transfer_s = 0, tcp_transfer_s = 0;
+         model_transfer_s = 0, tcp_transfer_s = 0;
   std::size_t image_bytes = 0;
   std::int64_t iterations = 0;
 
@@ -70,8 +77,8 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
     pack_s += sw.seconds();
     image_bytes = packed.bytes.size();
 
-    // Network leg 1: the paper's 100 Mbps wire (simulated cost model).
-    sim_transfer_s += net.transfer_seconds(packed.bytes.size());
+    // Network leg 1: the paper's 100 Mbps wire (cost model).
+    model_transfer_s += link_transfer_seconds(packed.bytes.size());
 
     // Network leg 2: real loopback TCP (connection setup + streaming).
     sw.reset();
@@ -95,18 +102,18 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
   sink_thread.join();
 
   const double n = static_cast<double>(iterations);
-  const double total_s = (pack_s + sim_transfer_s + unpack_s) / n;
+  const double total_s = (pack_s + model_transfer_s + unpack_s) / n;
   state.counters["code_funcs"] = static_cast<double>(code_funcs);
   state.counters["image_kb"] =
       static_cast<double>(image_bytes) / 1024.0;
   state.counters["pack_us"] = pack_s / n * 1e6;
-  state.counters["net100mbps_us"] = sim_transfer_s / n * 1e6;
+  state.counters["net100mbps_us"] = model_transfer_s / n * 1e6;
   state.counters["tcp_loopback_us"] = tcp_transfer_s / n * 1e6;
   state.counters["unpack_us"] = unpack_s / n * 1e6;
   state.counters["verify_us"] = typecheck_s / n * 1e6;
   state.counters["recompile_us"] = recompile_s / n * 1e6;
   state.counters["total_us"] = total_s * 1e6;
-  state.counters["transfer_frac"] = sim_transfer_s / n / total_s;
+  state.counters["transfer_frac"] = model_transfer_s / n / total_s;
   state.counters["recompile_frac"] =
       (recompile_s + typecheck_s) / n / total_s;
 }
@@ -114,7 +121,7 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
 // E3 — resilient-transport latency under packet loss.
 //
 // The full idempotent handshake (offer/GO, image/ack — migrate/wire.hpp)
-// runs through a ChaosProxy that drops request and reply frames with the
+// runs through a WireChaos that drops request and reply frames with the
 // given probability, and the client retries under the production
 // RetryPolicy. Measures what a lossy WAN costs a migration end to end:
 // each retry pays a reconnect plus a jittered backoff, and a retry after
@@ -150,11 +157,10 @@ void BM_MigrationResilient(benchmark::State& state) {
     }
   });
 
-  net::ProxyFaults faults;
+  net::WireFaults faults;
   faults.seed = 1000 + state.range(0);
-  faults.drop_request = drop;
-  faults.drop_reply = drop;
-  net::ChaosProxy proxy("127.0.0.1", sink.port(), faults);
+  faults.drop_frame = drop;
+  net::WireChaos proxy("127.0.0.1", sink.port(), faults);
 
   net::RetryPolicy policy;
   policy.max_attempts = 16;

@@ -1,5 +1,6 @@
 // The paper's evaluation application (Figure 2): a distributed 2D heat
-// stencil on a simulated cluster, with the speculative checkpointing main
+// stencil on an in-process cluster (one dnode agent per rank, real
+// loopback TCP between them), with the speculative checkpointing main
 // loop, an injected node failure, automatic resurrection from the shared
 // checkpoint store, and verification that the answer is identical to the
 // failure-free sequential reference.
@@ -10,6 +11,7 @@
 #include <iostream>
 #include <thread>
 
+#include "ckpt/store.hpp"
 #include "gridapp/heat.hpp"
 #include "support/stopwatch.hpp"
 
@@ -25,28 +27,23 @@ int main() {
 
   std::cout << "2D heat diffusion, " << cfg.rows << "x" << cfg.cols
             << " grid, " << cfg.steps << " timesteps, " << cfg.nodes
-            << " simulated nodes, checkpoint every "
+            << " nodes, checkpoint every "
             << cfg.checkpoint_interval << " steps\n";
   std::cout << "the per-node program is MojC compiled through the Mojave "
                "pipeline;\nits main loop is the paper's Figure 2: "
                "speculate / exchange-or-rollback /\ncompute / "
                "commit+checkpoint\n\n";
 
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = cfg.nodes;
-  ccfg.recv_timeout_seconds = 30.0;
-
   Stopwatch sw;
-  const auto run = gridapp::run_heat(cfg, ccfg, [&](cluster::Cluster& cl) {
-    cl.enable_auto_resurrection(0.02);
-    // Let rank 2 checkpoint at least once, then kill it mid-computation.
-    const std::string ckpt = cl.checkpoint_name(2);
-    for (int i = 0; i < 5000 && !cl.storage().exists(ckpt); ++i) {
+  const auto run = gridapp::run_heat(cfg, {}, [&](dnode::LocalCluster& lc) {
+    // Let rank 2 checkpoint at least once, then kill its node mid-run.
+    const auto store = ckpt::CheckpointStore::open_shared(lc.storage_root());
+    for (int i = 0; i < 5000 && !store->has_snapshot("rank_2"); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (cl.storage().exists(ckpt)) {
+    if (store->has_snapshot("rank_2")) {
       std::cout << "!! injecting failure: killing node 2\n";
-      cl.kill(2);
+      lc.kill_agent(lc.coordinator().agent_of(2));
     } else {
       std::cout << "(node 2 never checkpointed; skipping fault injection)\n";
     }
@@ -67,18 +64,15 @@ int main() {
 
   std::uint64_t restarts = 0;
   std::uint64_t rollbacks = 0;
-  std::uint64_t preserved = 0;
-  for (const auto& node : run.nodes) {
-    restarts += node.restarts;
-    rollbacks += node.spec.rollbacks;
-    preserved += node.spec.blocks_preserved;
-    if (!node.error.empty()) {
-      std::cout << "  rank " << node.rank << " error: " << node.error << "\n";
+  for (const auto& rank : run.ranks) {
+    restarts += rank.restarts;
+    rollbacks += rank.rollbacks;
+    if (!rank.error.empty()) {
+      std::cout << "  rank " << rank.rank << " error: " << rank.error << "\n";
     }
   }
   std::cout << "\nresurrections: " << restarts
-            << ", speculation rollbacks: " << rollbacks
-            << ", COW blocks preserved: " << preserved << "\n";
+            << ", speculation rollbacks: " << rollbacks << "\n";
   std::cout << "wall time: " << elapsed << " s\n";
   std::cout << (verified ? "VERIFIED: fault-tolerant run matches the "
                            "failure-free reference\n"

@@ -199,15 +199,10 @@ Flags parse_flags(int argc, char** argv, int first) {
 }
 
 /// Install transport overrides process-wide: retry-policy flags layer on
-/// top of the environment-derived defaults (and win), and --recv-timeout
-/// is exported as MOJAVE_RECV_TIMEOUT_S so every ClusterConfig built in
-/// this process picks it up. The resulting values are published as
-/// config.* gauges, so --stats shows what the run actually used.
+/// top of the environment-derived defaults (and win). The resulting values
+/// are published as config.* gauges, so --stats shows what the run
+/// actually used.
 void apply_transport_flags(const Flags& flags) {
-  if (flags.recv_timeout_s.has_value()) {
-    ::setenv("MOJAVE_RECV_TIMEOUT_S",
-             std::to_string(*flags.recv_timeout_s).c_str(), 1);
-  }
   if (flags.jit_flag_given) {
     // Re-export so ProcessConfig instances built from env defaults (node
     // agents, unpacked migrations) honour the flag too.

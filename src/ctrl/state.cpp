@@ -82,7 +82,18 @@ CoordState::ApplyResult CoordState::apply(const WalRecord& rec) {
           }
         }
       }
-      tracker_.record(rec.sender, rec.sender_level, rec.receiver,
+      // The stamped level counts the sender's open speculations at the
+      // send; the tracker's count the ones open now. Commits since the
+      // send discharged that many (none left = the data is durable and
+      // there is nothing to join); commits the sender made before the send
+      // that this state has not seen yet will shift the record down when
+      // they arrive.
+      const std::int64_t level =
+          static_cast<std::int64_t>(rec.sender_level) +
+          static_cast<std::int64_t>(rec.commit_seq) -
+          static_cast<std::int64_t>(commit_count(rec.sender));
+      if (level <= 0) break;
+      tracker_.record(rec.sender, static_cast<SpecLevel>(level), rec.receiver,
                       rec.receiver_level);
       break;
     }

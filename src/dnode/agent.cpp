@@ -19,8 +19,7 @@ using runtime::Value;
 namespace {
 
 /// Thrown out of a network external when the agent is shutting down; it
-/// unwinds the interpreter and retires the rank fiber (the dnode twin of
-/// the simulated cluster's NodeKilled).
+/// unwinds the interpreter and retires the rank fiber.
 struct AgentStopping {};
 
 /// Poller token namespaces: the listener, accepted connections, outbound
@@ -33,6 +32,10 @@ constexpr std::uint64_t kTokLinkBase = 2ull << 32;
 /// coordinator connection (peer not draining); stale beats are useless.
 constexpr std::size_t kMaxStaleHeartbeatBytes = 64 * 1024;
 
+/// How long a receive that saw a sender roll back under consumed data
+/// waits for the coordinator's POISON before reporting MSG_ROLL itself.
+constexpr double kJoinPoisonWaitSeconds = 0.05;
+
 struct AgentMetrics {
   obs::Counter& launches;
   obs::Counter& resurrections;
@@ -43,10 +46,13 @@ struct AgentMetrics {
   obs::Counter& replay_requests;
   obs::Counter& replays_served;
   obs::Counter& poisons;
+  obs::Counter& epoch_rolls;
   obs::Counter& dep_records;
   obs::Counter& corrupt_frames;
   obs::Counter& heartbeats;
   obs::Counter& link_failures;
+  obs::Counter& sendlog_bytes;
+  obs::Counter& sendlog_written;
 
   static AgentMetrics& get() {
     auto& r = obs::MetricsRegistry::instance();
@@ -55,9 +61,12 @@ struct AgentMetrics {
         r.counter("node.yields"),         r.counter("node.data_frames_in"),
         r.counter("node.data_frames_out"), r.counter("node.data_forwards"),
         r.counter("dspec.replay_requests"), r.counter("dspec.replays_served"),
-        r.counter("dspec.poisons_received"), r.counter("dspec.dep_records"),
+        r.counter("dspec.poisons_received"), r.counter("dspec.epoch_rolls"),
+        r.counter("dspec.dep_records"),
         r.counter("node.corrupt_frames"), r.counter("node.heartbeats"),
         r.counter("node.link_failures"),
+        r.counter("node.sendlog_bytes_incremental"),
+        r.counter("node.sendlog_written_incremental"),
     };
     return m;
   }
@@ -99,6 +108,58 @@ class YieldHook final : public vm::MigrationHook {
   std::atomic<bool>& yield_;
   bool yielded_ = false;
 };
+
+/// Bytes of a DATA payload before its values: u32 level, u64 epoch,
+/// u64 commit_seq (see encode_data_payload).
+constexpr std::size_t kDataStampBytes = 20;
+
+/// Hash of a DATA payload's values, stamps excluded: equal for a message
+/// and its deterministic re-send.
+std::uint64_t values_hash(std::span<const std::byte> payload) {
+  return fnv1a(payload.subspan(std::min(kDataStampBytes, payload.size())));
+}
+
+/// One consumed speculative message, by the sender's DATA stamps.
+struct SpecDep {
+  std::uint64_t values = 0;      ///< values_hash of what was consumed
+  std::uint64_t epoch = 0;       ///< sender's rollback epoch at the send
+  std::uint64_t commit_seq = 0;  ///< sender's commit count at the send
+  std::uint32_t level = 0;       ///< sender's speculation level at the send
+  std::uint32_t receiver_level = 0;  ///< ours at the receive
+};
+
+/// Speculative messages a rank consumed, by (sender, tag).
+using SpecDeps = std::map<std::pair<std::uint32_t, std::int32_t>, SpecDep>;
+
+/// The receiver-side epoch check of the join protocol: a message from
+/// `src` carries its current (epoch, commit_seq). A dependency on `src` is
+/// durable once the sender has committed as many levels as it was sent
+/// at. Before that, an epoch past the dependency's means the sender rolled
+/// back under it — unless `resent(tag, dep)` finds the sender's
+/// re-execution already re-sent the same values (lazy cancellation: a
+/// deterministic re-send means the consumed data still stands; without
+/// it, neighbours re-executing the same window can roll each other back
+/// forever). Returns true when a dependency was rolled back. (A rollback of a deeper nested
+/// level is taken as reverting too: a spurious MSG_ROLL, never a missed
+/// one.) Every dependency the epoch moved past is dropped, like a one-shot
+/// poison.
+template <typename Resent>
+bool sender_rolled_back(SpecDeps& deps, std::uint32_t src,
+                        std::uint64_t epoch, std::uint64_t commit_seq,
+                        const Resent& resent) {
+  bool rolled_back = false;
+  std::erase_if(deps, [&](const SpecDeps::value_type& entry) {
+    const auto& [key, d] = entry;
+    if (key.first != src) return false;
+    const std::uint64_t commits =
+        commit_seq > d.commit_seq ? commit_seq - d.commit_seq : 0;
+    if (commits >= d.level) return true;  // durable
+    if (epoch <= d.epoch) return false;   // no rollback since the send
+    if (!resent(key.second, d)) rolled_back = true;
+    return true;
+  });
+  return rolled_back;
+}
 
 }  // namespace
 
@@ -154,6 +215,9 @@ struct NodeAgent::RankSlot {
   double sleep_until = -1;   ///< armed sleep_ms gate; -1 = none
   bool roll_pace_armed = false;  ///< pacing a peer-down MSG_ROLL report
   double roll_pace_until = 0;
+  /// Set when a receive saw a sender roll back under consumed data: the
+  /// rank waits until then for the matching POISON (0 = not waiting).
+  double join_wait_until = 0;
   struct RecvWait {
     bool active = false;
     std::uint64_t key = 0;
@@ -163,6 +227,10 @@ struct NodeAgent::RankSlot {
   /// Set by an external just before it throws WouldBlock; the fiber parks
   /// on this key.
   std::uint64_t pending_wait_key = 0;
+
+  /// Receiver half of the join: consumed speculative data not yet known
+  /// to be durable (see msg_recv).
+  SpecDeps spec_deps;
 
   /// Lazy cancellation (TimeWarp): hash of the last payload per (dst,
   /// tag); a byte-identical re-send after a rollback goes out at level 0.
@@ -870,6 +938,20 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
           }
           slot.roll_pace_armed = false;
           slot.poisoned.store(false);
+          slot.join_wait_until = 0;
+          slot.recv.active = false;
+          return Value::from_int(1);  // MSG_ROLL
+        }
+        if (slot.join_wait_until > 0) {
+          // A sender rolled back under data this rank consumed (detected
+          // below). The coordinator's POISON for it is on its way; waiting
+          // for it lets one rollback answer both. Report MSG_ROLL anyway
+          // if it does not come.
+          if (now < slot.join_wait_until) {
+            slot.pending_wait_key = rank_wait_key(rank);
+            throw vm::WouldBlock{slot.join_wait_until};
+          }
+          slot.join_wait_until = 0;
           slot.recv.active = false;
           return Value::from_int(1);  // MSG_ROLL
         }
@@ -938,22 +1020,48 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         }
         slot.recv.active = false;
         slot.roll_pace_armed = false;
-        // A rollback poisons dependents before the rolled-back sender can
-        // send anything new; re-checking here keeps MSG_ROLL delivery
-        // deterministic even when a fresh message raced in.
+        // A rollback poisons its dependents before the rolled-back sender
+        // can send them anything new. The coordinator's POISON alone cannot
+        // promise that — it travels a different connection than the
+        // sender's next DATA and routinely trails it — so the DATA's own
+        // stamps decide too: a pending POISON, or a sender epoch that moved
+        // past speculative data consumed from it (sender_rolled_back),
+        // turns into MSG_ROLL before this message is consumed (it stays in
+        // `delivered` for the re-execution).
         if (slot.poisoned.exchange(false)) return Value::from_int(1);
         Reader r(payload);
         const std::uint32_t sender_level = r.u32();
         const std::uint64_t sender_epoch = r.u64();
         const std::uint64_t sender_commit = r.u64();
         const std::uint32_t n = r.u32();
+        const std::uint64_t values = values_hash(payload);
+        const auto resent = [&](std::int32_t dep_tag, const SpecDep& d) {
+          if (dep_tag == tag) return d.values == values;
+          const auto qi = mb.q.find({src, dep_tag});
+          return qi != mb.q.end() &&
+                 std::any_of(qi->second.begin(), qi->second.end(),
+                             [&](const std::vector<std::byte>& queued) {
+                               return values_hash(queued) == d.values;
+                             });
+        };
+        if (sender_rolled_back(slot.spec_deps, src, sender_epoch,
+                               sender_commit, resent)) {
+          AgentMetrics::get().epoch_rolls.inc();
+          slot.join_wait_until = now + kJoinPoisonWaitSeconds;
+          slot.pending_wait_key = rank_wait_key(rank);
+          throw vm::WouldBlock{slot.join_wait_until};
+        }
         if (sender_level > 0) {
           // Speculative data: join the sender's speculation (the
           // distributed record() of the join protocol).
+          const std::uint32_t level = proc.spec().current_level();
           AgentMetrics::get().dep_records.inc();
-          send_to_coordinator(encode_dep_record(src, sender_level, rank,
-                                                proc.spec().current_level(),
+          send_to_coordinator(encode_dep_record(src, sender_level, rank, level,
                                                 sender_epoch, sender_commit));
+          const auto [dep, added] = slot.spec_deps.try_emplace({src, tag});
+          dep->second = SpecDep{
+              values, sender_epoch, sender_commit, sender_level,
+              added ? level : std::min(dep->second.receiver_level, level)};
         }
         const std::uint32_t to_copy =
             std::min(n, static_cast<std::uint32_t>(count));
@@ -999,19 +1107,35 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
 
   // Join protocol, reported over the wire: this rank's rollbacks bump its
   // epoch and emit ROLL_POISON; its durable commits emit COMMIT_DISCHARGE.
+  // Locally they mirror what the tracker does to receiver-side records: a
+  // rollback voids the consumptions it un-does, a commit shifts the rest
+  // down a level.
   proc.spec().set_rollback_observer([this, rank, &slot](SpecLevel level,
                                                         bool) {
     const std::uint64_t e = slot.epoch.fetch_add(1) + 1;
+    std::erase_if(slot.spec_deps, [level](const SpecDeps::value_type& e) {
+      return e.second.receiver_level >= level;
+    });
     send_to_coordinator(encode_roll_poison(rank, level, e));
   });
   proc.spec().set_commit_observer([this, rank, &slot] {
     slot.commit_seq.fetch_add(1);
+    for (auto& [key, d] : slot.spec_deps) {
+      if (d.receiver_level > 0) --d.receiver_level;
+    }
     // Persist the replay log with the commit (see send_log_snapshot):
     // the checkpoint taken at this commit point must be able to re-serve
     // pre-checkpoint border sends even after this process dies.
     try {
-      store_->put(send_log_snapshot(rank),
-                  encode_send_log(slot.sent_log, slot.sent_hashes));
+      const ckpt::PutStats put = store_->put(
+          send_log_snapshot(rank),
+          encode_send_log(slot.sent_log, slot.sent_hashes));
+      if (!put.first_snapshot) {
+        // Tracked apart from the ckpt.* totals, which also count them, so
+        // checkpoint dedup can be read without the replay logs.
+        AgentMetrics::get().sendlog_bytes.inc(put.bytes_total);
+        AgentMetrics::get().sendlog_written.inc(put.bytes_written);
+      }
     } catch (const std::exception& e) {
       MOJAVE_LOG(kWarn, "dnode")
           << "rank " << rank << " send-log persist failed: " << e.what();

@@ -23,9 +23,9 @@
 //    blocking the loop; small DATA frames coalesce per (peer, tick) into
 //    one writev, large payloads go out zero-copy.
 //  * Sender-based replay logs (the MPICH-V companion of rollback
-//    recovery, same contract as SimNetwork's) answer REPLAY_REQ frames so
-//    a rolled-back or resurrected receiver can re-request border messages
-//    its peers will never send again.
+//    recovery) answer REPLAY_REQ frames so a rolled-back or resurrected
+//    receiver can re-request border messages its peers will never send
+//    again.
 //  * Ranks checkpoint into the content-addressed chunk store under
 //    --storage ROOT (shared across agents, the role NFS played in the
 //    paper); RESURRECT restores any rank from that store, which is how
@@ -33,7 +33,10 @@
 //  * The speculation join is a protocol: sends carry the sender's level
 //    and rollback epoch, speculative receives emit DEP_RECORD to the
 //    coordinator, rollbacks report ROLL_POISON, and inbound POISON frames
-//    make the rank's next receive report MSG_ROLL.
+//    make the rank's next receive report MSG_ROLL. A POISON can trail the
+//    rolled-back sender's next DATA, so a receive also refuses DATA whose
+//    epoch shows the sender rolled back under data this rank consumed,
+//    and reports MSG_ROLL instead.
 //
 // A deliberately `throttle_ms`-slowed agent both runs slower (a pacing
 // gate between sends) and reports an inflated load in its heartbeats —
@@ -124,7 +127,7 @@ class NodeAgent {
   /// arrive before LAUNCH/RESURRECT (or between incarnations on this
   /// agent) are not lost. `delivered` is the receiver-side replay log: a
   /// rank re-executing after a rollback re-reads the message it already
-  /// consumed, exactly as SimNetwork replays for the simulated cluster.
+  /// consumed.
   struct Mailbox {
     std::map<std::pair<std::uint32_t, std::int32_t>,
              std::deque<std::vector<std::byte>>>

@@ -1,6 +1,6 @@
 // Coordinator: the control plane of the distributed node runtime.
 //
-// Owns what the single-process cluster::Cluster kept as shared memory:
+// Owns the cluster-wide state no single agent can hold:
 //
 //  * the rank → agent placement map, broadcast to every agent so the data
 //    plane routes without asking;
@@ -9,14 +9,13 @@
 //    onto surviving agents — the paper's "resurrected on a remote node
 //    from the last checkpoint";
 //  * the speculation join, as the server side of a protocol: DEP_RECORD
-//    frames feed the same `cluster::DependencyTracker` state machine the
-//    simulated cluster uses (its unit tests still pin the semantics),
-//    ROLL_POISON triggers the avalanche, poisoned ranks get POISON frames,
-//    COMMIT_DISCHARGE discharges. An epoch fence closes the race the wire
-//    adds: a DEP_RECORD describing data sent *before* a rollback the
-//    coordinator has already processed is stale — the speculation it
-//    would join no longer exists — so the receiver is poisoned instead
-//    (docs/SPECULATION.md, "epoch fencing");
+//    frames feed a `cluster::DependencyTracker` state machine (its unit
+//    tests pin the semantics), ROLL_POISON triggers the avalanche,
+//    poisoned ranks get POISON frames, COMMIT_DISCHARGE discharges. An
+//    epoch fence closes the race the wire adds: a DEP_RECORD describing
+//    data sent *before* a rollback the coordinator has already processed
+//    is stale — the speculation it would join no longer exists — so the
+//    receiver is poisoned instead (docs/SPECULATION.md, "epoch fencing");
 //  * the load-aware migration policy (the paper's loaded-node
 //    experiment): when heartbeat loads diverge past a threshold, a rank
 //    on the most-loaded agent is told to YIELD_RANK at its next
@@ -32,7 +31,8 @@
 // still-running agents via RE_ADOPT instead of relaunching the world.
 //
 // `mojc cluster --nodes host:port,... run prog.mjc` drives this class;
-// tests drive it in-process against `mojc node` child processes.
+// tests drive it in-process against `mojc node` child processes or a
+// dnode::LocalCluster.
 #pragma once
 
 #include <atomic>
@@ -136,7 +136,7 @@ class Coordinator {
   [[nodiscard]] std::uint64_t resurrections() const {
     return resurrections_.load();
   }
-  /// The join-protocol state machine (shared with the simulated cluster).
+  /// The join-protocol state machine.
   [[nodiscard]] cluster::DependencyTracker& tracker() {
     return state_.tracker();
   }

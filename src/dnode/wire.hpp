@@ -8,7 +8,7 @@
 //
 // The trailing fnv1a covers everything before it, so a frame mangled in
 // transit is rejected (node.corrupt_frames) instead of decoded into
-// garbage — the same contract the simulated cluster enforces per message.
+// garbage.
 //
 // Control plane (agent <-> coordinator, one long-lived connection):
 //   HELLO/CONFIG/LAUNCH/PLACEMENT       session setup and rank placement

@@ -219,22 +219,24 @@ std::vector<double> heat_reference_sums(const HeatConfig& cfg) {
   return sums;
 }
 
-HeatRun run_heat(const HeatConfig& cfg, cluster::ClusterConfig ccfg,
-                 const std::function<void(cluster::Cluster&)>& chaos) {
-  ccfg.num_nodes = cfg.nodes;
-  cluster::Cluster cl(ccfg);
-  cl.launch_spmd(heat_program(cfg));
-  if (chaos) chaos(cl);
+HeatRun run_heat(const HeatConfig& cfg, dnode::CoordinatorConfig ccfg,
+                 const std::function<void(dnode::LocalCluster&)>& chaos) {
+  // Generous: a run that has not finished by then is hung, not slow.
+  constexpr double kWaitSeconds = 300.0;
+  dnode::LocalCluster cluster(cfg.nodes);
+  ccfg.num_ranks = cfg.nodes;
+  dnode::Coordinator& coord = cluster.start(std::move(ccfg));
+  coord.launch_spmd(heat_program(cfg));
+  if (chaos) chaos(cluster);
   HeatRun run;
-  run.nodes = cl.wait_all();
+  run.all_clean = coord.wait_all(kWaitSeconds);
+  run.ranks = coord.results();
   run.sums.assign(cfg.nodes, std::numeric_limits<double>::quiet_NaN());
-  for (const auto& node : run.nodes) {
-    if (!node.error.empty() ||
-        node.run.kind != vm::RunResult::Kind::kHalted ||
-        node.run.exit_code != 0) {
+  for (const dnode::RankOutcome& r : run.ranks) {
+    if (!r.done || r.result_kind != 0 || r.exit_code != 0) {
       run.all_clean = false;
     }
-    if (node.has_reported) run.sums[node.rank] = node.reported;
+    if (r.has_reported) run.sums[r.rank] = r.reported;
   }
   return run;
 }

@@ -13,10 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
+#include "dnode/local.hpp"
 #include "fir/ir.hpp"
 
 namespace mojave::gridapp {
@@ -47,16 +48,18 @@ struct HeatConfig {
 [[nodiscard]] std::vector<double> heat_reference_sums(const HeatConfig& cfg);
 
 struct HeatRun {
-  std::vector<cluster::NodeResult> nodes;
+  std::vector<dnode::RankOutcome> ranks;
   std::vector<double> sums;  ///< per-rank reported sums (NaN if missing)
-  bool all_clean = true;     ///< every node halted without error
+  bool all_clean = true;     ///< every rank halted with exit code 0
 };
 
-/// Launch the program SPMD on a cluster and wait for completion. The
-/// optional `chaos` callback runs on the caller's thread after launch and
-/// may inject faults (kill/resurrect) while the computation runs.
+/// Run the program SPMD on a dnode::LocalCluster with one agent per rank
+/// (so killing a rank's agent kills that rank) and wait for completion.
+/// `ccfg.num_ranks` is filled in. The optional `chaos` callback runs on
+/// the caller's thread after launch and may inject faults (kill_agent)
+/// while the computation runs.
 [[nodiscard]] HeatRun run_heat(
-    const HeatConfig& cfg, cluster::ClusterConfig ccfg,
-    const std::function<void(cluster::Cluster&)>& chaos = nullptr);
+    const HeatConfig& cfg, dnode::CoordinatorConfig ccfg = {},
+    const std::function<void(dnode::LocalCluster&)>& chaos = nullptr);
 
 }  // namespace mojave::gridapp

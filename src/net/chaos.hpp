@@ -1,18 +1,19 @@
-// ChaosProxy: a frame-level TCP fault injector for loopback tests.
+// WireChaos: a byte-level TCP fault injector for loopback tests.
 //
-// Sits between a migration client and a MigrationServer (or any
-// request/response protocol built on TcpStream frames) and injects the
-// faults a real WAN produces but loopback never does: swallowed requests,
-// lost acknowledgements (the connection dies *after* the server committed),
-// corrupted payloads, and added latency. All randomness comes from a
-// seeded PRNG; the deterministic `drop_reply_frames` list pins exact
-// lost-ACK scenarios for the idempotent-handshake tests.
-//
-// The relay assumes strict request/response alternation per connection —
-// exactly the rhythm of the migration handshake (offer/accept, image/ack).
+// Sits transparently between two peers of any full-duplex protocol (the
+// dnode agent wire, where both ends push frames at will, or the migration
+// handshake) and injects the faults a real WAN produces but loopback
+// never does. Faults below the framing layer: latency, fragmented writes,
+// a bandwidth cap, connections reset mid-frame. Faults on whole frames
+// (they parse the u32-LE length prefix TcpStream and FramedSocket write):
+// reordering, and frame drops that cut the connection — swallowed
+// requests, or lost acknowledgements when the dropped frame is a reply
+// the server sent *after* it committed. All randomness comes from a
+// seeded PRNG; `drop_frames` pins exact scenarios.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -26,27 +27,7 @@
 
 namespace mojave::net {
 
-struct ProxyFaults {
-  std::uint64_t seed = 1;
-  double drop_request = 0;  ///< swallow a client frame and cut the connection
-  double drop_reply = 0;    ///< forward the request, swallow the server reply
-  double corrupt_request = 0;  ///< flip one byte of a client frame
-  double delay_seconds = 0;    ///< added latency per forwarded frame
-  /// Deterministic lost-ACKs: the Nth server reply this proxy ever relays
-  /// (1-based, across connections) is swallowed and the connection cut.
-  std::set<std::uint64_t> drop_reply_frames;
-};
-
-struct ProxyStats {
-  std::uint64_t connections = 0;
-  std::uint64_t frames_forwarded = 0;
-  std::uint64_t requests_dropped = 0;
-  std::uint64_t replies_dropped = 0;
-  std::uint64_t requests_corrupted = 0;
-};
-
-/// Socket-level fault profile for WireChaosProxy: the byte-stream
-/// pathologies a frame-level relay cannot model. All faults compose.
+/// Fault profile for WireChaos. All faults compose.
 struct WireFaults {
   /// Added latency per forwarded read batch (both directions).
   double delay_seconds = 0;
@@ -65,9 +46,18 @@ struct WireFaults {
   double bandwidth_bytes_per_sec = 0;
   /// Hold every Nth complete frame and emit it after its successor
   /// (0 = off): deterministic frame reordering, the multipath-WAN
-  /// profile. Requires the u32-length-prefix wire protocol on the link;
-  /// tolerated by the dnode runtime because mailboxes key on (src, tag).
+  /// profile. Tolerated by the dnode runtime because mailboxes key on
+  /// (src, tag).
   std::uint64_t reorder_every_n = 0;
+  /// Swallow a frame and cut its connection, with this probability per
+  /// frame (either direction), drawn from a PRNG seeded with `seed`.
+  double drop_frame = 0;
+  std::uint64_t seed = 1;
+  /// Deterministic drops: the Nth frame this relay ever parses (1-based,
+  /// counted across connections and both directions) is swallowed and its
+  /// connection cut. Over a strict request/response protocol the count is
+  /// exact: frame 4 of the migration handshake is the lost final ack.
+  std::set<std::uint64_t> drop_frames;
 };
 
 struct WireStats {
@@ -76,27 +66,30 @@ struct WireStats {
   std::uint64_t split_writes = 0;
   std::uint64_t resets = 0;
   std::uint64_t frames_reordered = 0;
+  std::uint64_t frames_dropped = 0;
   std::uint64_t throttle_waits = 0;
 };
 
-/// A transparent byte-level TCP relay for full-duplex protocols (the
-/// dnode agent wire, where both peers push frames at will — the
-/// request/response ChaosProxy above cannot sit on such links). Faults
-/// operate below the framing layer: latency, fragmented writes, and
-/// connections dropped mid-frame. The runtime on either side must
-/// tolerate all three; redial + rollback-retry + replay make dropped
-/// bytes recoverable.
-class WireChaosProxy {
+/// A transparent TCP relay with fault injection. The runtime on either
+/// side must tolerate every fault: redial + rollback-retry + replay make
+/// dropped bytes recoverable for dnode, retry + the idempotent handshake
+/// for migration.
+class WireChaos {
  public:
-  WireChaosProxy(std::string upstream_host, std::uint16_t upstream_port,
-                 WireFaults faults);
-  ~WireChaosProxy();
+  WireChaos(std::string upstream_host, std::uint16_t upstream_port,
+            WireFaults faults);
+  ~WireChaos();
 
-  WireChaosProxy(const WireChaosProxy&) = delete;
-  WireChaosProxy& operator=(const WireChaosProxy&) = delete;
+  WireChaos(const WireChaos&) = delete;
+  WireChaos& operator=(const WireChaos&) = delete;
 
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
   [[nodiscard]] WireStats stats() const;
+
+  /// Freeze the relay (true) or let it run again (false). A held relay
+  /// forwards nothing — no bytes and no EOF — so a peer behind it can die
+  /// without the other side noticing until release.
+  void hold(bool on);
 
   void stop();
 
@@ -106,6 +99,10 @@ class WireChaosProxy {
   void accept_loop();
   void pump(const std::shared_ptr<Pipe>& pipe, bool downstream,
             std::uint64_t conn_id);
+  /// Block while the relay is held (returns at once when not).
+  void wait_released();
+  /// Count one parsed frame and decide whether the drop faults take it.
+  [[nodiscard]] bool condemn_frame();
 
   std::string upstream_host_;
   std::uint16_t upstream_port_;
@@ -115,39 +112,12 @@ class WireChaosProxy {
   std::vector<std::thread> workers_;
   std::vector<std::shared_ptr<Pipe>> pipes_;  // guarded by mu_
   mutable std::mutex mu_;
-  WireStats stats_;          // guarded by mu_
-  bool reset_done_ = false;  // guarded by mu_
-  std::atomic<bool> stopping_{false};
-};
-
-class ChaosProxy {
- public:
-  ChaosProxy(std::string upstream_host, std::uint16_t upstream_port,
-             ProxyFaults faults);
-  ~ChaosProxy();
-
-  ChaosProxy(const ChaosProxy&) = delete;
-  ChaosProxy& operator=(const ChaosProxy&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  [[nodiscard]] ProxyStats stats() const;
-
-  void stop();
-
- private:
-  void accept_loop();
-  void relay(TcpStream client);
-
-  std::string upstream_host_;
-  std::uint16_t upstream_port_;
-  ProxyFaults faults_;
-  TcpListener listener_;
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-  mutable std::mutex mu_;
-  ProxyStats stats_;                // guarded by mu_
-  Rng rng_;                         // guarded by mu_
-  std::uint64_t replies_seen_ = 0;  // guarded by mu_
+  std::condition_variable released_cv_;
+  WireStats stats_;                // guarded by mu_
+  Rng rng_;                        // guarded by mu_
+  std::uint64_t frames_seen_ = 0;  // guarded by mu_
+  bool reset_done_ = false;        // guarded by mu_
+  bool held_ = false;              // guarded by mu_
   std::atomic<bool> stopping_{false};
 };
 

@@ -12,7 +12,7 @@
 //
 //  * reads are buffered: on_readable() drains whatever the kernel has and
 //    extracts every complete frame, so a frame split across segments (or
-//    a WireChaosProxy fragmenting writes) reassembles incrementally;
+//    a WireChaos relay fragmenting writes) reassembles incrementally;
 //  * writes are queued, never blocking the loop: small frames coalesce
 //    into a shared batch buffer (per peer, per flush tick — one syscall
 //    where the thread-per-rank runtime made dozens), large payloads stay

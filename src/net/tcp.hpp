@@ -63,7 +63,7 @@ class TcpStream {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
 
   /// Raw descriptor, for relays that operate below the framing layer
-  /// (WireChaosProxy). Ownership stays with the stream.
+  /// (WireChaos). Ownership stays with the stream.
   [[nodiscard]] int fd() const { return fd_; }
 
   /// Bound every subsequent send/recv syscall; <= 0 restores blocking.

@@ -1,7 +1,8 @@
-// Cluster tests: simulated network semantics, message-passing externals,
-// distributed speculation join (abort propagation), and the full Figure 2
-// scenario — the grid computation surviving node failure via rollback +
-// checkpoint resurrection with an unchanged result.
+// Cluster tests: message-passing externals, the distributed speculation
+// join (abort propagation), the DependencyTracker semantics behind it, and
+// the full Figure 2 scenario — the grid computation surviving node failure
+// via rollback + checkpoint resurrection with an unchanged result. Every
+// cluster here is a dnode::LocalCluster: real agents on loopback TCP.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,87 +10,39 @@
 #include <deque>
 #include <thread>
 
-#include "cluster/cluster.hpp"
+#include "ckpt/store.hpp"
 #include "cluster/tracker.hpp"
+#include "dnode/local.hpp"
 #include "frontend/compile.hpp"
 #include "gridapp/heat.hpp"
-#include "net/sim.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace mojave;
+using cluster::NodeId;
 
-cluster::ClusterConfig small_cluster(std::uint32_t n) {
-  cluster::ClusterConfig cfg;
-  cfg.num_nodes = n;
+dnode::CoordinatorConfig small_cluster(std::uint32_t ranks) {
+  dnode::CoordinatorConfig cfg;
+  cfg.num_ranks = ranks;
   cfg.max_instructions = 500'000'000;
   cfg.recv_timeout_seconds = 20.0;
   return cfg;
 }
 
-TEST(SimNetwork, SendRecvBasics) {
-  net::SimNetwork net(3);
-  ASSERT_TRUE(net.send(0, 1, 7, {std::byte{0xab}}));
-  std::vector<std::byte> out;
-  EXPECT_EQ(net.recv(1, 0, 7, out), net::RecvStatus::kOk);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], std::byte{0xab});
-  // FIFO per (src, tag); distinct tags are independent.
-  ASSERT_TRUE(net.send(0, 1, 7, {std::byte{1}}));
-  ASSERT_TRUE(net.send(0, 1, 8, {std::byte{2}}));
-  ASSERT_TRUE(net.send(0, 1, 7, {std::byte{3}}));
-  EXPECT_EQ(net.recv(1, 0, 8, out), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{2});
-  EXPECT_EQ(net.recv(1, 0, 7, out), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{1});
-  EXPECT_EQ(net.recv(1, 0, 7, out), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{3});
-}
+/// Run `src` SPMD on `ranks` ranks over `agents` in-process agents.
+struct SpmdRun {
+  std::vector<dnode::RankOutcome> results;
+  std::uint64_t poisons = 0;
+};
 
-TEST(SimNetwork, TimeoutAndFailure) {
-  net::SimNetwork net(2);
-  std::vector<std::byte> out;
-  EXPECT_EQ(net.recv(0, 1, 1, out, 0.01), net::RecvStatus::kTimeout);
-
-  // Queued messages are drained before a dead peer is reported.
-  ASSERT_TRUE(net.send(1, 0, 1, {std::byte{9}}));
-  net.kill(1);
-  EXPECT_EQ(net.recv(0, 1, 1, out), net::RecvStatus::kOk);
-  // The consumed tag is replayed from the message log (rollback support)…
-  EXPECT_EQ(net.recv(0, 1, 1, out, 1.0), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{9});
-  // …but a tag that was never delivered reports the dead peer.
-  EXPECT_EQ(net.recv(0, 1, 3, out, 1.0), net::RecvStatus::kPeerFailed);
-  EXPECT_FALSE(net.send(0, 1, 1, {}));  // sends to the dead are dropped
-  EXPECT_FALSE(net.alive(1));
-
-  net.revive(1);
-  EXPECT_TRUE(net.alive(1));
-  EXPECT_TRUE(net.send(0, 1, 2, {std::byte{5}}));
-  EXPECT_EQ(net.recv(1, 0, 2, out), net::RecvStatus::kOk);
-}
-
-TEST(SimNetwork, KillWakesBlockedReceiver) {
-  net::SimNetwork net(2);
-  std::vector<std::byte> out;
-  std::thread killer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    net.kill(1);
-  });
-  // Blocked forever unless the kill wakes us.
-  EXPECT_EQ(net.recv(0, 1, 1, out), net::RecvStatus::kPeerFailed);
-  killer.join();
-}
-
-TEST(SimNetwork, TransferTimeModel) {
-  net::SimConfig cfg;
-  cfg.bandwidth_bytes_per_sec = 100e6 / 8.0;  // 100 Mbps
-  cfg.latency_seconds = 100e-6;
-  net::SimNetwork net(2, cfg);
-  // 1 MB at 100 Mbps ≈ 80 ms + latency.
-  const double t = net.transfer_seconds(1'000'000);
-  EXPECT_NEAR(t, 0.0801, 0.0005);
+SpmdRun run_spmd(const std::string& name, const std::string& src,
+                 std::uint32_t ranks, std::uint32_t agents) {
+  dnode::LocalCluster lc(agents);
+  dnode::Coordinator& coord = lc.start(small_cluster(ranks));
+  coord.launch_spmd(frontend::compile_source(name, src));
+  EXPECT_TRUE(coord.wait_all(60.0)) << name << " timed out";
+  return SpmdRun{coord.results(), coord.tracker().poisons_issued()};
 }
 
 TEST(Tracker, PoisonPropagationAndVoiding) {
@@ -155,20 +108,19 @@ TEST(Cluster, PingPongMessages) {
       return 0;
     }
   )";
-  cluster::Cluster cl(small_cluster(2));
-  cl.launch_spmd(frontend::compile_source("pingpong", src));
-  const auto results = cl.wait_all();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].run.exit_code, 42);
-  EXPECT_EQ(results[1].run.exit_code, 0);
-  EXPECT_TRUE(results[0].error.empty());
+  const auto run = run_spmd("pingpong", src, 2, 2);
+  ASSERT_EQ(run.results.size(), 2u);
+  EXPECT_EQ(run.results[0].exit_code, 42);
+  EXPECT_EQ(run.results[1].exit_code, 0);
+  EXPECT_EQ(run.results[0].result_kind, 0) << run.results[0].error;
 }
 
-TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
-  // Node 0 sends from inside a speculation, then aborts it; node 1, which
-  // consumed that value, must observe MSG_ROLL on its next receive and
-  // abort its own speculation — "roll back together".
-  const std::string src = R"(
+// Node 0 sends from inside a speculation, then aborts it; node 1, which
+// consumed that value, must observe MSG_ROLL on its next receive and
+// abort its own speculation — "roll back together". The next receive is
+// the aborted sender's own fresh message, which races the coordinator's
+// POISON: the receiver must still roll back rather than consume it.
+const char* const kJoinSource = R"(
     extern int node_id();
     extern int msg_send(int, int, ptr, int);
     extern int msg_recv(int, int, ptr, int);
@@ -204,13 +156,23 @@ TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
       return 99;
     }
   )";
-  cluster::Cluster cl(small_cluster(2));
-  cl.launch_spmd(frontend::compile_source("join", src));
-  const auto results = cl.wait_all();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].run.exit_code, 0) << results[0].error;
-  EXPECT_EQ(results[1].run.exit_code, 99) << results[1].error;
-  EXPECT_GE(cl.tracker().poisons_issued(), 1u);
+
+void expect_receiver_joined_the_abort(std::uint32_t agents) {
+  const auto run = run_spmd("join", kJoinSource, 2, agents);
+  ASSERT_EQ(run.results.size(), 2u);
+  EXPECT_EQ(run.results[0].exit_code, 0) << run.results[0].error;
+  EXPECT_EQ(run.results[1].exit_code, 99) << run.results[1].error;
+  EXPECT_GE(run.poisons, 1u);
+}
+
+TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
+  expect_receiver_joined_the_abort(2);
+}
+
+TEST(Cluster, SpeculativeSenderAbortPoisonsReceiverOnOneAgent) {
+  // Both ranks on one agent: the fresh message is delivered locally, with
+  // no wire hop for the POISON to win against.
+  expect_receiver_joined_the_abort(1);
 }
 
 // --- DependencyTracker property tests ---------------------------------
@@ -230,18 +192,18 @@ TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
 /// possibly poisoning others. Returns how many rollbacks it took; fails
 /// the test if the cascade exceeds `bound` steps.
 std::size_t drain_avalanche(cluster::DependencyTracker& t,
-                            std::vector<net::NodeId> poisoned,
+                            std::vector<NodeId> poisoned,
                             std::size_t bound) {
-  std::deque<net::NodeId> work(poisoned.begin(), poisoned.end());
+  std::deque<NodeId> work(poisoned.begin(), poisoned.end());
   std::size_t steps = 0;
   while (!work.empty()) {
     EXPECT_LT(steps, bound) << "avalanche did not terminate";
     if (steps >= bound) return steps;
-    const net::NodeId n = work.front();
+    const NodeId n = work.front();
     work.pop_front();
     if (!t.consume_poison(n)) continue;  // duplicate hit, already handled
     ++steps;
-    for (const net::NodeId next : t.on_rollback(n, 1)) work.push_back(next);
+    for (const NodeId next : t.on_rollback(n, 1)) work.push_back(next);
   }
   return steps;
 }
@@ -254,8 +216,8 @@ TEST(ClusterTrackerProps, RandomInterleavingsAvalancheAlwaysTerminates) {
     for (int op = 0; op < 400; ++op) {
       const double dice = rng.uniform();
       if (dice < 0.6) {
-        const auto s = static_cast<net::NodeId>(rng.below(nodes));
-        auto r = static_cast<net::NodeId>(rng.below(nodes));
+        const auto s = static_cast<NodeId>(rng.below(nodes));
+        auto r = static_cast<NodeId>(rng.below(nodes));
         if (r == s) r = (r + 1) % nodes;
         t.record(s, static_cast<SpecLevel>(1 + rng.below(3)), r,
                  static_cast<SpecLevel>(rng.below(4)));
@@ -264,21 +226,21 @@ TEST(ClusterTrackerProps, RandomInterleavingsAvalancheAlwaysTerminates) {
         // every cascade step erases records — bound the whole avalanche
         // by the dependency count at its start (plus the initial hit).
         const std::size_t fuel = t.dependency_count();
-        auto hit = t.on_rollback(static_cast<net::NodeId>(rng.below(nodes)),
+        auto hit = t.on_rollback(static_cast<NodeId>(rng.below(nodes)),
                                  static_cast<SpecLevel>(1 + rng.below(3)));
         drain_avalanche(t, std::move(hit), fuel + nodes + 1);
       } else {
-        t.on_commit_to_zero(static_cast<net::NodeId>(rng.below(nodes)));
+        t.on_commit_to_zero(static_cast<NodeId>(rng.below(nodes)));
       }
       if (::testing::Test::HasFailure()) {
         FAIL() << "seed " << seed << ", op " << op;
       }
     }
     // Quiesce: roll everything back; no poison may survive its consumer.
-    for (net::NodeId n = 0; n < nodes; ++n) {
+    for (NodeId n = 0; n < nodes; ++n) {
       drain_avalanche(t, t.on_rollback(n, 1), t.dependency_count() + nodes);
     }
-    for (net::NodeId n = 0; n < nodes; ++n) {
+    for (NodeId n = 0; n < nodes; ++n) {
       EXPECT_FALSE(t.consume_poison(n)) << "stale poison, seed " << seed;
     }
     EXPECT_EQ(t.dependency_count(), 0u) << "seed " << seed;
@@ -294,7 +256,7 @@ TEST(ClusterTrackerProps, CommitToZeroLeavesNoStalePoison) {
     // deeper ones that commit-to-zero must *keep* (shifted down a level).
     int deep = 0;
     for (int i = 0; i < 40; ++i) {
-      const auto r = static_cast<net::NodeId>(1 + rng.below(nodes - 1));
+      const auto r = static_cast<NodeId>(1 + rng.below(nodes - 1));
       if (rng.chance(0.3)) {
         t.record(0, 2, r, static_cast<SpecLevel>(rng.below(3)));
         ++deep;
@@ -312,7 +274,7 @@ TEST(ClusterTrackerProps, CommitToZeroLeavesNoStalePoison) {
     EXPECT_LE(hit.size(), static_cast<std::size_t>(deep)) << "seed " << seed;
     drain_avalanche(t, hit, static_cast<std::size_t>(deep) + nodes);
     EXPECT_TRUE(t.on_rollback(0, 1).empty()) << "seed " << seed;
-    for (net::NodeId n = 0; n < nodes; ++n) {
+    for (NodeId n = 0; n < nodes; ++n) {
       EXPECT_FALSE(t.consume_poison(n)) << "stale poison, seed " << seed;
     }
   }
@@ -330,14 +292,14 @@ TEST(ClusterTrackerProps, ConcurrentRecordRollbackCommitIsRaceFree) {
       Rng rng(0xC0FFEE + ti);
       for (int op = 0; op < 2000; ++op) {
         const double dice = rng.uniform();
-        const auto a = static_cast<net::NodeId>(rng.below(kNodes));
-        auto b = static_cast<net::NodeId>(rng.below(kNodes));
+        const auto a = static_cast<NodeId>(rng.below(kNodes));
+        auto b = static_cast<NodeId>(rng.below(kNodes));
         if (b == a) b = (b + 1) % kNodes;
         if (dice < 0.6) {
           t.record(a, static_cast<SpecLevel>(1 + rng.below(3)), b,
                    static_cast<SpecLevel>(rng.below(4)));
         } else if (dice < 0.85) {
-          for (const net::NodeId p :
+          for (const NodeId p :
                t.on_rollback(a, static_cast<SpecLevel>(1 + rng.below(3)))) {
             t.consume_poison(p);
           }
@@ -348,7 +310,7 @@ TEST(ClusterTrackerProps, ConcurrentRecordRollbackCommitIsRaceFree) {
     });
   }
   for (std::thread& th : threads) th.join();
-  for (net::NodeId n = 0; n < kNodes; ++n) {
+  for (NodeId n = 0; n < kNodes; ++n) {
     drain_avalanche(t, t.on_rollback(n, 1), t.dependency_count() + kNodes);
   }
   EXPECT_EQ(t.dependency_count(), 0u);
@@ -386,9 +348,9 @@ TEST(Grid, CheckpointingDoesNotChangeResult) {
 
 TEST(Grid, SurvivesNodeFailureWithResurrection) {
   // The headline Figure 2 scenario: kill a node mid-run after it has
-  // checkpointed; peers roll back their speculation; the resurrection
-  // daemon revives the victim from its checkpoint; the final answer is
-  // identical to the failure-free reference.
+  // checkpointed; peers roll back their speculation; the coordinator
+  // resurrects the victim from its checkpoint on a survivor; the final
+  // answer is identical to the failure-free reference.
   gridapp::HeatConfig cfg;
   cfg.nodes = 3;
   cfg.rows = 12;
@@ -396,17 +358,18 @@ TEST(Grid, SurvivesNodeFailureWithResurrection) {
   cfg.steps = 60;
   cfg.checkpoint_interval = 10;
 
-  auto ccfg = small_cluster(cfg.nodes);
   const auto run = gridapp::run_heat(
-      cfg, ccfg, [&](cluster::Cluster& cl) {
-        cl.enable_auto_resurrection(0.02);
+      cfg, small_cluster(cfg.nodes), [&](dnode::LocalCluster& lc) {
         // Wait until the victim has written at least one checkpoint, so
         // resurrection has something to restore.
-        for (int i = 0; i < 2000 && !cl.has_checkpoint(1); ++i) {
+        const auto store =
+            ckpt::CheckpointStore::open_shared(lc.storage_root());
+        for (int i = 0; i < 2000 && !store->has_snapshot("rank_1"); ++i) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        ASSERT_TRUE(cl.has_checkpoint(1)) << "victim never checkpointed";
-        cl.kill(1);
+        ASSERT_TRUE(store->has_snapshot("rank_1"))
+            << "victim never checkpointed";
+        lc.kill_agent(lc.coordinator().agent_of(1));
       });
 
   ASSERT_TRUE(run.all_clean);
@@ -417,9 +380,9 @@ TEST(Grid, SurvivesNodeFailureWithResurrection) {
   // The victim restarted at least once; someone rolled back.
   std::uint64_t restarts = 0;
   std::uint64_t rollbacks = 0;
-  for (const auto& node : run.nodes) {
-    restarts += node.restarts;
-    rollbacks += node.spec.rollbacks;
+  for (const auto& rank : run.ranks) {
+    restarts += rank.restarts;
+    rollbacks += rank.rollbacks;
   }
   EXPECT_GE(restarts, 1u);
   EXPECT_GE(rollbacks, 1u);

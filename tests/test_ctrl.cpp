@@ -219,6 +219,77 @@ TEST(CtrlWal, DuplicateResultIsIdempotentAcrossReplay) {
   EXPECT_EQ(live.ranks()[0].instructions, 100u) << "duplicate double-counted";
 }
 
+// --- Dependency records across commits the state has not seen ----------
+
+/// DEP_RECORD for rank 1 consuming rank 0's data, with the sender's
+/// stamps at the send.
+ctrl::WalRecord dep_record(std::uint32_t sender_level,
+                           std::uint64_t commit_seq) {
+  ctrl::WalRecord rec;
+  rec.op = ctrl::WalOp::kDepRecord;
+  rec.sender = 0;
+  rec.sender_level = sender_level;
+  rec.receiver = 1;
+  rec.receiver_level = 0;
+  rec.commit_seq = commit_seq;
+  return rec;
+}
+
+ctrl::WalRecord commit_record(std::uint32_t rank) {
+  ctrl::WalRecord rec;
+  rec.op = ctrl::WalOp::kCommit;
+  rec.rank = rank;
+  return rec;
+}
+
+const std::vector<cluster::NodeId> kReceiver{1};
+
+TEST(CtrlState, DepRecordDropsLevelsCommittedSinceTheSend) {
+  // The sender committed after the send and that commit arrived first:
+  // the committed level is durable and nothing is left to join.
+  {
+    ctrl::CoordState st;
+    (void)st.apply(meta_record(2));
+    (void)st.apply(commit_record(0));
+    (void)st.apply(dep_record(/*sender_level=*/1, /*commit_seq=*/0));
+    EXPECT_EQ(st.tracker().dependency_count(), 0u);
+    EXPECT_TRUE(st.tracker().on_rollback(0, 1).empty());
+  }
+  // Sent two levels deep: one commit later only one level remains, so
+  // the record joins level 1.
+  {
+    ctrl::CoordState st;
+    (void)st.apply(meta_record(2));
+    (void)st.apply(commit_record(0));
+    (void)st.apply(dep_record(/*sender_level=*/2, /*commit_seq=*/0));
+    EXPECT_TRUE(st.tracker().on_rollback(0, 2).empty());
+    EXPECT_EQ(st.tracker().on_rollback(0, 1), kReceiver);
+  }
+}
+
+TEST(CtrlState, DepRecordRaisedByUnseenCommitsThenShiftedDown) {
+  // The sender committed once before the send, and that commit has not
+  // arrived yet: the state still counts the committed level as open, so
+  // the record sits one level higher than stamped.
+  {
+    ctrl::CoordState st;
+    (void)st.apply(meta_record(2));
+    (void)st.apply(dep_record(/*sender_level=*/1, /*commit_seq=*/1));
+    EXPECT_EQ(st.tracker().dependency_count(), 1u);
+    EXPECT_EQ(st.tracker().on_rollback(0, 2), kReceiver);
+  }
+  // When the commit arrives it shifts the record down to the stamped
+  // level.
+  {
+    ctrl::CoordState st;
+    (void)st.apply(meta_record(2));
+    (void)st.apply(dep_record(/*sender_level=*/1, /*commit_seq=*/1));
+    (void)st.apply(commit_record(0));
+    EXPECT_TRUE(st.tracker().on_rollback(0, 2).empty());
+    EXPECT_EQ(st.tracker().on_rollback(0, 1), kReceiver);
+  }
+}
+
 // --- Torn and corrupt tails ---------------------------------------------
 
 TEST(CtrlWal, TornTailStopsAtLastWholeRecord) {

@@ -5,8 +5,7 @@
 // Coordinator, the Figure-2 heat grid split across agents, an agent
 // SIGKILLed mid-run (its ranks resurrect from the shared ckpt:// store on
 // the survivor), a forced cross-agent speculation rollback — and the final
-// sums still bit-match the sequential reference, exactly as the
-// single-process cluster::Cluster tests demand of the simulated cluster.
+// sums still bit-match the sequential reference.
 //
 // The DnodeCluster suite runs agents in-process (same code, no fork) so
 // the TSan job exercises the agent/coordinator locking.
@@ -25,7 +24,6 @@
 #include <unistd.h>
 
 #include "ckpt/store.hpp"
-#include "cluster/cluster.hpp"
 #include "ctrl/lease.hpp"
 #include "dnode/agent.hpp"
 #include "dnode/coord.hpp"
@@ -150,12 +148,11 @@ TEST(DnodeE2E, HeatAcrossTwoAgentsMatchesSingleProcessCluster) {
   ASSERT_TRUE(coord.wait_all(120.0)) << "distributed run timed out";
   expect_sums_match(coord, hcfg);
 
-  // Same program, single-process simulated cluster: identical answers.
+  // Same program, every agent inside this process: identical answers.
   // (The reference sums pin both, but this is the equivalence the
-  // distributed runtime promises: same primitives, same results.)
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = hcfg.nodes;
-  const auto local = gridapp::run_heat(hcfg, ccfg);
+  // distributed runtime promises: same primitives, same results, wherever
+  // the agents live.)
+  const auto local = gridapp::run_heat(hcfg);
   ASSERT_TRUE(local.all_clean);
   const auto dist = coord.results();
   for (std::uint32_t r = 0; r < hcfg.nodes; ++r) {
@@ -168,8 +165,8 @@ TEST(DnodeE2E, HeatAcrossTwoAgentsMatchesSingleProcessCluster) {
 }
 
 /// Acceptance under a hostile wire: every byte into agent 1 crosses a
-/// WireChaosProxy that adds latency, fragments writes, and hard-resets
-/// the first cross-agent data link mid-frame. The coordinator dials
+/// WireChaos that adds latency, fragments writes, and hard-resets the
+/// first cross-agent data link mid-frame. The coordinator dials
 /// agent 1 first (proxy connection #1, carrying hello/config/launch in
 /// fragments); agent 0's data link to agent 1 is connection #2 and gets
 /// the reset. Recovery is the replay path: the receiver re-requests the
@@ -194,7 +191,7 @@ TEST(DnodeE2E, HeatSurvivesDelaySplitWritesAndMidFrameReset) {
   faults.split_bytes = 256;
   faults.reset_conn = 2;
   faults.reset_after_bytes = 1200;  // mid-run, mid-frame on the data link
-  net::WireChaosProxy proxy("127.0.0.1", a1.port, faults);
+  net::WireChaos proxy("127.0.0.1", a1.port, faults);
 
   dnode::Coordinator coord(coord_config({a0.port, proxy.port()}, hcfg.nodes));
   coord.launch_spmd(gridapp::heat_program(hcfg));
@@ -422,8 +419,8 @@ TEST(DnodeCluster, BalancerMovesRankOffThrottledAgent) {
 /// Rank density under a hostile WAN profile: 32 fiber ranks over 2
 /// in-process agents (16 per event-loop thread) with every byte into
 /// agent 1 squeezed through a bandwidth-capped, frame-reordering,
-/// fragmenting WireChaosProxy. The cap backpressures the coalesced write
-/// path (the sender's batches stall against a full socket buffer), the
+/// fragmenting WireChaos. The cap backpressures the coalesced write path
+/// (the sender's batches stall against a full socket buffer), the
 /// reorderer swaps every 5th frame with its successor — tolerated because
 /// heat tags every halo with (direction, timestep) and mailboxes key on
 /// (src, tag) — and the sums must still bit-match the sequential
@@ -448,7 +445,7 @@ TEST(DnodeCluster, DenseRanksSurviveThrottledReorderingWire) {
   faults.bandwidth_bytes_per_sec = 1.5e6;  // a narrow WAN, not a stall
   faults.reorder_every_n = 5;
   faults.split_bytes = 512;
-  net::WireChaosProxy proxy("127.0.0.1", a1.port(), faults);
+  net::WireChaos proxy("127.0.0.1", a1.port(), faults);
 
   dnode::Coordinator coord(
       coord_config({a0.port(), proxy.port()}, hcfg.nodes));

@@ -347,11 +347,11 @@ TEST(MigrateResilience, LostAckRetryDoesNotDuplicateTheProcess) {
   };
   migrate::MigrationServer server(std::move(opts));
 
-  // Swallow the 2nd reply the proxy ever relays: reply 1 is the GO, reply
-  // 2 is the OK *after* the server committed — the classic lost ack.
-  net::ProxyFaults faults;
-  faults.drop_reply_frames = {2};
-  net::ChaosProxy proxy("127.0.0.1", server.port(), faults);
+  // Swallow the 4th frame the proxy ever relays: OFFER, GO, image, then
+  // the OK the server sends *after* it committed — the classic lost ack.
+  net::WireFaults faults;
+  faults.drop_frames = {4};
+  net::WireChaos proxy("127.0.0.1", server.port(), faults);
 
   // interval 7 → exactly one migrate (at i=7); the resumed copy then runs
   // to completion on the server with no further hops.
@@ -383,7 +383,7 @@ TEST(MigrateResilience, LostAckRetryDoesNotDuplicateTheProcess) {
   EXPECT_EQ(server.processes_started(), 1u);
   EXPECT_GE(server.dedup_hits(), 1u);
   EXPECT_EQ(dedup_acks.value(), dedup_acks_before + 1);
-  EXPECT_EQ(proxy.stats().replies_dropped, 1u);
+  EXPECT_EQ(proxy.stats().frames_dropped, 1u);
 }
 
 }  // namespace

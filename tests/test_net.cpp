@@ -1,6 +1,6 @@
 // Transport-layer tests: connect/recv deadlines, error paths that must not
 // leak fds, frame-size hardening, the retry policy's budget accounting,
-// the SimNetwork fault matrix, and the ChaosProxy fault shim.
+// and the WireChaos fault relay.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -16,7 +17,6 @@
 
 #include "net/chaos.hpp"
 #include "net/retry.hpp"
-#include "net/sim.hpp"
 #include "net/tcp.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -24,14 +24,8 @@
 namespace {
 
 using namespace mojave;
-using net::ChaosProxy;
 using net::Deadlines;
-using net::FaultPlan;
-using net::ProxyFaults;
-using net::RecvStatus;
 using net::RetryPolicy;
-using net::SimConfig;
-using net::SimNetwork;
 using net::TcpListener;
 using net::TcpStream;
 
@@ -244,123 +238,11 @@ TEST(RetryPolicyTest, EnvOverridesApply) {
   EXPECT_EQ(d.max_attempts, RetryPolicy{}.max_attempts);
 }
 
-// --- SimNetwork fault matrix --------------------------------------------
+// --- WireChaos ----------------------------------------------------------
 
-TEST(SimFaults, DropIsSilentToSenderAndCounted) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.all_links.drop = 1.0;
-  SimNetwork nw(2, cfg);
-  EXPECT_TRUE(nw.send(0, 1, 7, bytes_of("x")));  // lossy nets do not confess
-  std::vector<std::byte> out;
-  EXPECT_EQ(nw.recv(1, 0, 7, out, 0.02), RecvStatus::kTimeout);
-  EXPECT_EQ(nw.stats().faults_dropped, 1u);
-}
-
-TEST(SimFaults, DuplicateDeliversTwice) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.all_links.duplicate = 1.0;
-  SimNetwork nw(2, cfg);
-  ASSERT_TRUE(nw.send(0, 1, 7, bytes_of("x")));
-  std::vector<std::byte> a, b;
-  EXPECT_EQ(nw.recv(1, 0, 7, a, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(nw.recv(1, 0, 7, b, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(nw.stats().faults_duplicated, 1u);
-}
-
-TEST(SimFaults, CorruptFlipsExactlyOneByteOfDeliveredCopy) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.all_links.corrupt = 1.0;
-  SimNetwork nw(2, cfg);
-  const auto sent = bytes_of("hello world");
-  ASSERT_TRUE(nw.send(0, 1, 7, sent));
-  std::vector<std::byte> got;
-  ASSERT_EQ(nw.recv(1, 0, 7, got, 0.1), RecvStatus::kOk);
-  ASSERT_EQ(got.size(), sent.size());
-  std::size_t flipped = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (got[i] != sent[i]) ++flipped;
-  }
-  EXPECT_EQ(flipped, 1u);
-  EXPECT_EQ(nw.stats().faults_corrupted, 1u);
-}
-
-TEST(SimFaults, CorruptionNeverReachesTheReplayLog) {
-  SimConfig cfg;
-  cfg.replay_logging = true;
-  cfg.faults.all_links.corrupt = 1.0;
-  SimNetwork nw(2, cfg);
-  const auto sent = bytes_of("precious payload");
-  ASSERT_TRUE(nw.send(0, 1, 7, sent));
-  std::vector<std::byte> got;
-  ASSERT_EQ(nw.recv(1, 0, 7, got, 0.1), RecvStatus::kOk);
-  EXPECT_NE(got, sent);  // the in-flight copy was mangled
-  // The queue is drained, so the next recv consults the replay log — which
-  // must hold the clean bytes (a receiver that discards a corrupt frame
-  // recovers the original this way).
-  std::vector<std::byte> replay;
-  ASSERT_EQ(nw.recv(1, 0, 7, replay, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(replay, sent);
-}
-
-TEST(SimFaults, ReorderDefersBehindLaterTraffic) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.links[{0, 1}] = {.reorder = 1.0};
-  SimNetwork nw(2, cfg);
-  ASSERT_TRUE(nw.send(0, 1, 7, bytes_of("first")));   // deferred
-  std::vector<std::byte> out;
-  // The receiver asking for the deferred message forces its late arrival.
-  ASSERT_EQ(nw.recv(1, 0, 7, out, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(out, bytes_of("first"));
-  EXPECT_EQ(nw.stats().faults_reordered, 1u);
-}
-
-TEST(SimFaults, PartitionIsOneWayAndHealable) {
-  SimConfig scfg;
-  scfg.replay_logging = false;
-  SimNetwork nw(2, scfg);
-  nw.partition(0, 1);
-  EXPECT_TRUE(nw.send(0, 1, 7, bytes_of("blocked")));
-  std::vector<std::byte> out;
-  EXPECT_EQ(nw.recv(1, 0, 7, out, 0.02), RecvStatus::kTimeout);
-  // The reverse direction still flows.
-  ASSERT_TRUE(nw.send(1, 0, 9, bytes_of("reverse")));
-  ASSERT_EQ(nw.recv(0, 1, 9, out, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(nw.stats().faults_partitioned, 1u);
-  nw.heal_partition(0, 1);
-  ASSERT_TRUE(nw.send(0, 1, 7, bytes_of("flows")));
-  ASSERT_EQ(nw.recv(1, 0, 7, out, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(out, bytes_of("flows"));
-}
-
-TEST(SimFaults, SameSeedSameSchedule) {
-  const auto run = [](std::uint64_t seed) {
-    SimConfig cfg;
-    cfg.replay_logging = false;
-    cfg.faults.seed = seed;
-    cfg.faults.all_links.drop = 0.5;
-    SimNetwork nw(2, cfg);
-    std::vector<bool> delivered;
-    for (int i = 0; i < 64; ++i) {
-      (void)nw.send(0, 1, 7, bytes_of("m"));
-      std::vector<std::byte> out;
-      delivered.push_back(nw.recv(1, 0, 7, out, 0.001) == RecvStatus::kOk);
-    }
-    return delivered;
-  };
-  EXPECT_EQ(run(11), run(11));
-  EXPECT_NE(run(11), run(12));  // astronomically unlikely to collide
-}
-
-// --- ChaosProxy ---------------------------------------------------------
-
-TEST(ChaosProxyTest, CleanProxyRelaysBothDirections) {
+TEST(WireChaosTest, CleanProxyRelaysBothDirections) {
   EchoServer echo;
-  ChaosProxy proxy("127.0.0.1", echo.port(), ProxyFaults{});
+  net::WireChaos proxy("127.0.0.1", echo.port(), net::WireFaults{});
   TcpStream client =
       TcpStream::connect("127.0.0.1", proxy.port(), Deadlines{2.0, 2.0});
   client.send_frame(bytes_of("ping"));
@@ -368,14 +250,14 @@ TEST(ChaosProxyTest, CleanProxyRelaysBothDirections) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, bytes_of("ping"));
   client.close();
-  EXPECT_GE(proxy.stats().frames_forwarded, 2u);
+  EXPECT_GE(proxy.stats().bytes_forwarded, 2u * (4u + 4u));
 }
 
-TEST(ChaosProxyTest, DeterministicReplyDropCutsTheConnection) {
+TEST(WireChaosTest, DeterministicReplyDropCutsTheConnection) {
   EchoServer echo;
-  ProxyFaults faults;
-  faults.drop_reply_frames = {1};  // swallow the first reply ever relayed
-  ChaosProxy proxy("127.0.0.1", echo.port(), faults);
+  net::WireFaults faults;
+  faults.drop_frames = {2};  // frame 1 is the request, 2 its echo reply
+  net::WireChaos proxy("127.0.0.1", echo.port(), faults);
   {
     TcpStream client =
         TcpStream::connect("127.0.0.1", proxy.port(), Deadlines{2.0, 2.0});
@@ -388,24 +270,53 @@ TEST(ChaosProxyTest, DeterministicReplyDropCutsTheConnection) {
     } catch (const NetError&) {
     }
   }
-  // A fresh connection works: only reply #1 was condemned.
+  // A fresh connection works: only frame #2 was condemned.
   TcpStream retry =
       TcpStream::connect("127.0.0.1", proxy.port(), Deadlines{2.0, 2.0});
   retry.send_frame(bytes_of("again"));
   const auto back = retry.recv_frame();
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, bytes_of("again"));
-  EXPECT_EQ(proxy.stats().replies_dropped, 1u);
+  EXPECT_EQ(proxy.stats().frames_dropped, 1u);
 }
 
-// --- WireChaosProxy -----------------------------------------------------
+TEST(WireChaosTest, SeededFrameDropsRepeatPerSeed) {
+  // Which frames a seeded drop rate takes depends on the seed alone: the
+  // same seed cuts the same exchange of a request/response sequence.
+  const auto run = [](std::uint64_t seed) {
+    EchoServer echo;
+    net::WireFaults faults;
+    faults.seed = seed;
+    faults.drop_frame = 0.3;
+    net::WireChaos proxy("127.0.0.1", echo.port(), faults);
+    std::vector<bool> answered;
+    for (int i = 0; i < 24; ++i) {
+      TcpStream client =
+          TcpStream::connect("127.0.0.1", proxy.port(), Deadlines{2.0, 2.0});
+      client.send_frame(bytes_of("m"));
+      try {
+        answered.push_back(client.recv_frame().has_value());
+      } catch (const NetError&) {
+        answered.push_back(false);
+      }
+    }
+    EXPECT_EQ(proxy.stats().frames_dropped,
+              static_cast<std::uint64_t>(
+                  std::count(answered.begin(), answered.end(), false)));
+    return answered;
+  };
+  const auto a = run(11);
+  EXPECT_EQ(a, run(11));
+  EXPECT_NE(a, run(12));  // astronomically unlikely to collide
+  EXPECT_NE(std::count(a.begin(), a.end(), false), 0);
+}
 
-TEST(WireChaosProxyTest, SplitWritesAndDelayPreserveEveryFrame) {
+TEST(WireChaosTest, SplitWritesAndDelayPreserveEveryFrame) {
   EchoServer echo;
   net::WireFaults faults;
   faults.delay_seconds = 0.0005;
   faults.split_bytes = 7;  // frame headers arrive in pieces too
-  net::WireChaosProxy proxy("127.0.0.1", echo.port(), faults);
+  net::WireChaos proxy("127.0.0.1", echo.port(), faults);
 
   TcpStream client =
       TcpStream::connect("127.0.0.1", proxy.port(), Deadlines{2.0, 5.0});
@@ -430,12 +341,12 @@ TEST(WireChaosProxyTest, SplitWritesAndDelayPreserveEveryFrame) {
   EXPECT_EQ(stats.resets, 0u);
 }
 
-TEST(WireChaosProxyTest, MidFrameResetCutsOnlyTheCondemnedConnection) {
+TEST(WireChaosTest, MidFrameResetCutsOnlyTheCondemnedConnection) {
   EchoServer echo;
   net::WireFaults faults;
   faults.reset_conn = 1;
   faults.reset_after_bytes = 10;  // inside the first 1 KiB frame's payload
-  net::WireChaosProxy proxy("127.0.0.1", echo.port(), faults);
+  net::WireChaos proxy("127.0.0.1", echo.port(), faults);
 
   {
     TcpStream doomed =
