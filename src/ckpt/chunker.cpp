@@ -1,8 +1,10 @@
 #include "ckpt/chunker.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace mojave::ckpt {
 
@@ -40,48 +42,69 @@ void ChunkerConfig::validate() const {
   }
 }
 
-std::vector<std::span<const std::byte>> split_chunks(
-    std::span<const std::byte> data, const ChunkerConfig& cfg) {
+ChunkedImage chunk_image(std::span<const std::byte> data,
+                         const ChunkerConfig& cfg) {
   cfg.validate();
-  std::vector<std::span<const std::byte>> chunks;
-  if (data.empty()) return chunks;
+  ChunkedImage out;
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
+  std::uint64_t image = kFnvOffset;  // fnv1a(data), advanced byte by byte
+  std::uint64_t hi = ChunkKey::kHiSeed;
+  // Both FNV-1a lanes take the same byte; they are independent multiply
+  // chains, so the CPU overlaps them.
+  const auto absorb = [&](std::uint8_t b) {
+    hi = (hi ^ b) * kFnvPrime;
+    image = (image ^ b) * kFnvPrime;
+  };
+  std::size_t start = 0;
+  const auto cut = [&](std::size_t len) {
+    const auto chunk = data.subspan(start, len);
+    out.chunks.push_back({chunk, ChunkKey::with_hi(hi, chunk)});
+    start += len;
+    hi = ChunkKey::kHiSeed;
+  };
 
   if (cfg.mode == ChunkerConfig::Mode::kFixed) {
-    for (std::size_t off = 0; off < data.size(); off += cfg.target_bytes) {
-      chunks.push_back(
-          data.subspan(off, std::min(cfg.target_bytes, data.size() - off)));
+    while (start < data.size()) {
+      const std::size_t len = std::min(cfg.target_bytes, data.size() - start);
+      for (std::size_t i = start; i < start + len; ++i) absorb(bytes[i]);
+      cut(len);
     }
-    return chunks;
+    out.image_hash = image;
+    return out;
   }
 
-  // Gear CDC: h = (h << 1) + gear[b]; cut where the top target_bits of a
-  // byte-position-independent hash are zero, giving an expected chunk
-  // size of target_bytes past the minimum.
+  // Gear CDC: g = (g << 1) + gear[b]; cut where the low target_bits of g
+  // are zero, giving an expected chunk size of target_bytes past the
+  // minimum. The shift ages each byte out after 64 positions, so g is a
+  // function of the trailing bytes only, not of the chunk's offset.
   const auto& gear = gear_table();
   const std::uint64_t mask = static_cast<std::uint64_t>(cfg.target_bytes - 1);
-  std::size_t start = 0;
   while (start < data.size()) {
+    const std::uint8_t* p = bytes + start;
     const std::size_t remaining = data.size() - start;
-    if (remaining <= cfg.min_bytes) {
-      chunks.push_back(data.subspan(start));
-      break;
-    }
-    const std::size_t limit = std::min(remaining, cfg.max_bytes);
-    std::uint64_t h = 0;
     std::size_t len = 0;
-    // The hash warms up inside the skipped minimum region so the first
-    // eligible position already sees a full window of context.
-    for (; len < limit; ++len) {
-      h = (h << 1) + gear[static_cast<std::uint8_t>(data[start + len])];
-      if (len + 1 >= cfg.min_bytes && (h & mask) == 0) {
+    if (remaining <= cfg.min_bytes) {
+      for (; len < remaining; ++len) absorb(p[len]);
+    } else {
+      const std::size_t limit = std::min(remaining, cfg.max_bytes);
+      std::uint64_t g = 0;
+      // The hash warms up inside the skipped minimum region so the first
+      // eligible position already sees a full window of context.
+      for (; len + 1 < cfg.min_bytes; ++len) {
+        g = (g << 1) + gear[p[len]];
+        absorb(p[len]);
+      }
+      while (len < limit) {
+        g = (g << 1) + gear[p[len]];
+        absorb(p[len]);
         ++len;
-        break;
+        if ((g & mask) == 0) break;
       }
     }
-    chunks.push_back(data.subspan(start, len));
-    start += len;
+    cut(len);
   }
-  return chunks;
+  out.image_hash = image;
+  return out;
 }
 
 }  // namespace mojave::ckpt

@@ -22,6 +22,8 @@
 #include <span>
 #include <vector>
 
+#include "ckpt/key.hpp"
+
 namespace mojave::ckpt {
 
 struct ChunkerConfig {
@@ -40,9 +42,22 @@ struct ChunkerConfig {
   void validate() const;
 };
 
-/// Split `data` into consecutive chunk views (no copies; views alias
-/// `data`). Concatenating the result always reproduces `data` exactly.
-[[nodiscard]] std::vector<std::span<const std::byte>> split_chunks(
-    std::span<const std::byte> data, const ChunkerConfig& cfg);
+struct Chunk {
+  std::span<const std::byte> bytes;  ///< aliases the chunked image
+  ChunkKey key;                      ///< ChunkKey::of(bytes)
+};
+
+struct ChunkedImage {
+  /// Consecutive chunks; concatenating them reproduces the image exactly.
+  std::vector<Chunk> chunks;
+  std::uint64_t image_hash = 0;  ///< fnv1a(image)
+};
+
+/// Split `data` into chunks and key each one, in one pass over the bytes:
+/// the cut hash, each chunk's `hi` key lane and the whole-image hash
+/// advance together, and the `lo` lane runs over each chunk at its cut,
+/// while the chunk is still in cache. No copies: chunks alias `data`.
+[[nodiscard]] ChunkedImage chunk_image(std::span<const std::byte> data,
+                                       const ChunkerConfig& cfg);
 
 }  // namespace mojave::ckpt

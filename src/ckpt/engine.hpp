@@ -144,7 +144,7 @@ class ChunkEngine {
   struct KeyHash {
     std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& k)
         const noexcept {
-      return static_cast<std::size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
+      return ChunkKeyHash{}(ChunkKey{k.first, k.second});
     }
   };
   using KeyPair = std::pair<std::uint64_t, std::uint64_t>;

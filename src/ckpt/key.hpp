@@ -16,19 +16,34 @@ struct ChunkKey {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
 
+  /// Seed of the `hi` pass.
+  static constexpr std::uint64_t kHiSeed = kFnvOffset;
+  /// Seed diversifier for the `lo` pass, which is seeded with
+  /// `hi ^ kLoSeedSalt` so (hi, lo) are not trivially correlated.
+  static constexpr std::uint64_t kLoSeedSalt = 0x9e3779b97f4a7c15ULL;
+
   [[nodiscard]] static ChunkKey of(std::span<const std::byte> data) {
-    /// Seed diversifier for the second pass, so (hi, lo) are not
-    /// trivially correlated.
-    constexpr std::uint64_t kLoSeedSalt = 0x9e3779b97f4a7c15ULL;
-    ChunkKey key;
-    key.hi = fnv1a(data);
-    key.lo = fnv1a(data, key.hi ^ kLoSeedSalt);
-    return key;
+    return with_hi(fnv1a(data, kHiSeed), data);
+  }
+
+  /// The key of `data` given its already-computed `hi` pass
+  /// (`fnv1a(data, kHiSeed)`); runs only the `lo` pass.
+  [[nodiscard]] static ChunkKey with_hi(std::uint64_t hi,
+                                        std::span<const std::byte> data) {
+    return ChunkKey{hi, fnv1a(data, hi ^ kLoSeedSalt)};
   }
 
   [[nodiscard]] std::string hex() const;  ///< 32 lowercase hex chars
 
   auto operator<=>(const ChunkKey&) const = default;
+};
+
+/// Hash for unordered containers of keys. Both lanes are already FNV
+/// outputs, so mixing them is enough.
+struct ChunkKeyHash {
+  [[nodiscard]] std::size_t operator()(const ChunkKey& k) const noexcept {
+    return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL));
+  }
 };
 
 }  // namespace mojave::ckpt

@@ -11,11 +11,12 @@
 // differ; everything else dedupes against what the store already holds,
 // across snapshots and across nodes.
 //
-// Layout under a cluster::SharedStorage root (every write is atomic
-// temp-file + rename, so concurrent readers never see a torn object):
+// Layout under a cluster::SharedStorage root:
 //
-//   chunks/<32-hex-key>.ch            one chunk, keyed by content hash
-//   manifests/<snapshot>@<seq>.mft    ordered chunk refs + checksums
+//   extents/                          chunk records, keyed by content hash
+//                                     (the log-structured ckpt/engine.hpp)
+//   manifests/<snapshot>@<seq>.mft    ordered chunk refs + checksums,
+//                                     written atomically (temp + rename)
 //
 // Restore walks manifests newest-first: a manifest whose checksum fails,
 // or that references a missing/corrupt chunk, is skipped and the previous
@@ -25,7 +26,9 @@
 //
 // Retention keeps the newest `keep_manifests` manifests per snapshot and
 // garbage-collects chunks no surviving manifest references, with
-// reference counting across *all* snapshots so shared chunks survive.
+// reference counting across *all* snapshots so shared chunks survive. A
+// put runs retention + GC only when it pushes its snapshot past
+// `keep_manifests`, since only retention makes garbage during a put.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +112,6 @@ struct StoreStats {
   std::uint64_t stored_chunk_bytes = 0;  ///< bytes on disk for live chunks
   std::uint64_t logical_bytes = 0;       ///< sum of image_bytes over manifests
   std::uint64_t latest_image_bytes = 0;  ///< sum of latest image per snapshot
-  std::size_t legacy_chunk_files = 0;    ///< flat chunks/*.ch not yet folded
   EngineStats engine;                    ///< log-structured engine stats
 
   /// logical bytes the store represents per stored byte (>= 1 once any
@@ -129,7 +131,8 @@ class CheckpointStore {
     /// Manifests kept per snapshot name (>= 1). Older ones are pruned and
     /// their now-unreferenced chunks evicted.
     std::uint32_t keep_manifests = 4;
-    /// Run retention + chunk GC automatically after every put().
+    /// Run retention + chunk GC after a put() that pushes its snapshot
+    /// past keep_manifests.
     bool auto_gc = true;
     /// Log-structured engine knobs (extent size, cache, compression).
     ChunkEngine::Options engine;
@@ -177,9 +180,7 @@ class CheckpointStore {
   [[nodiscard]] VerifyReport verify() const;
   [[nodiscard]] StoreStats stats() const;
 
-  /// Compact the engine (rewrite dead-heavy extents) and fold any legacy
-  /// flat chunk files into extents. Returns engine-side stats plus the
-  /// number of legacy files folded in `records_rewritten` growth.
+  /// Compact the engine (rewrite dead-heavy extents).
   CompactStats compact(bool force = true);
 
   [[nodiscard]] const std::filesystem::path& root() const {
@@ -188,7 +189,6 @@ class CheckpointStore {
   [[nodiscard]] cluster::SharedStorage& storage() { return storage_; }
   [[nodiscard]] ChunkEngine& engine() { return *engine_; }
 
-  static constexpr const char* kChunkDir = "chunks";
   static constexpr const char* kManifestDir = "manifests";
 
   /// Snapshot names are path-safe identifiers: [A-Za-z0-9._-], no '@'.
@@ -205,13 +205,6 @@ class CheckpointStore {
   [[nodiscard]] std::vector<ManifestFile> list_manifests_locked(
       const std::string& snapshot) const;
   GcStats collect_garbage_locked();
-
-  // Chunk access routed engine-first with a read fallback to the legacy
-  // flat chunks/<hex>.ch layout, so stores written before the engine
-  // existed stay restorable.
-  [[nodiscard]] bool chunk_exists_locked(const ChunkKey& key) const;
-  [[nodiscard]] std::optional<std::vector<std::byte>> chunk_read_locked(
-      const ChunkKey& key) const;
 
   Options opts_;
   cluster::SharedStorage storage_;

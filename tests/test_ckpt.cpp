@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <thread>
 
 #include "ckpt/chunker.hpp"
 #include "ckpt/store.hpp"
@@ -16,7 +17,9 @@
 #include "migrate/migrator.hpp"
 #include "migrate/protocols.hpp"
 #include "migrate/server.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "vm/process.hpp"
 
@@ -46,40 +49,42 @@ TEST(Chunker, FixedModeSlicesAtTargetSize) {
   cfg.mode = ckpt::ChunkerConfig::Mode::kFixed;
   cfg.target_bytes = 1024;
   const auto data = random_bytes(10 * 1024 + 17, 1);
-  const auto chunks = ckpt::split_chunks(data, cfg);
+  const auto chunks = ckpt::chunk_image(data, cfg).chunks;
   ASSERT_EQ(chunks.size(), 11u);
   for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].size(), 1024u);
+    EXPECT_EQ(chunks[i].bytes.size(), 1024u);
   }
-  EXPECT_EQ(chunks.back().size(), 17u);
+  EXPECT_EQ(chunks.back().bytes.size(), 17u);
 }
 
 TEST(Chunker, ContentDefinedRespectsBoundsAndReassembles) {
   ckpt::ChunkerConfig cfg;  // content-defined defaults
   const auto data = random_bytes(200 * 1024, 2);
-  const auto chunks = ckpt::split_chunks(data, cfg);
+  const auto chunks = ckpt::chunk_image(data, cfg).chunks;
   ASSERT_GT(chunks.size(), 1u);
 
   std::size_t total = 0;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    total += chunks[i].size();
-    EXPECT_LE(chunks[i].size(), cfg.max_bytes);
+    total += chunks[i].bytes.size();
+    EXPECT_LE(chunks[i].bytes.size(), cfg.max_bytes);
     if (i + 1 < chunks.size()) {
-      EXPECT_GE(chunks[i].size(), cfg.min_bytes);
+      EXPECT_GE(chunks[i].bytes.size(), cfg.min_bytes);
     }
   }
   EXPECT_EQ(total, data.size());
 
   // The spans alias the input in order: reassembly is the identity.
   std::vector<std::byte> joined;
-  for (const auto& c : chunks) joined.insert(joined.end(), c.begin(), c.end());
+  for (const auto& c : chunks) {
+    joined.insert(joined.end(), c.bytes.begin(), c.bytes.end());
+  }
   EXPECT_EQ(joined, data);
 
   // Deterministic.
-  const auto again = ckpt::split_chunks(data, cfg);
+  const auto again = ckpt::chunk_image(data, cfg).chunks;
   ASSERT_EQ(again.size(), chunks.size());
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(again[i].data(), chunks[i].data());
+    EXPECT_EQ(again[i].bytes.data(), chunks[i].bytes.data());
   }
 }
 
@@ -88,8 +93,8 @@ TEST(Chunker, LocalEditOnlyDisturbsNearbyChunks) {
   auto data = random_bytes(256 * 1024, 3);
   const auto keys_of = [&](std::span<const std::byte> img) {
     std::set<std::string> keys;
-    for (const auto& c : ckpt::split_chunks(img, cfg)) {
-      keys.insert(ckpt::ChunkKey::of(c).hex());
+    for (const auto& c : ckpt::chunk_image(img, cfg).chunks) {
+      keys.insert(c.key.hex());
     }
     return keys;
   };
@@ -109,11 +114,130 @@ TEST(Chunker, LocalEditOnlyDisturbsNearbyChunks) {
 TEST(Chunker, RejectsBadConfig) {
   ckpt::ChunkerConfig cfg;
   cfg.target_bytes = 1000;  // not a power of two
-  EXPECT_THROW((void)ckpt::split_chunks(random_bytes(64, 4), cfg), Error);
+  EXPECT_THROW((void)ckpt::chunk_image(random_bytes(64, 4), cfg), Error);
   cfg = {};
   cfg.min_bytes = 1 << 16;  // min > max
   cfg.max_bytes = 1 << 10;
-  EXPECT_THROW((void)ckpt::split_chunks(random_bytes(64, 4), cfg), Error);
+  EXPECT_THROW((void)ckpt::chunk_image(random_bytes(64, 4), cfg), Error);
+}
+
+// The fused pass against a reference built from separate passes: the
+// plain gear loop for the cuts, ChunkKey::of per chunk and fnv1a over the
+// whole image. Any drift would re-key stored chunks and break dedup
+// against existing stores.
+std::vector<std::size_t> reference_cut_lengths(std::span<const std::byte> data,
+                                               const ckpt::ChunkerConfig& cfg) {
+  std::vector<std::size_t> lens;
+  if (cfg.mode == ckpt::ChunkerConfig::Mode::kFixed) {
+    for (std::size_t off = 0; off < data.size(); off += cfg.target_bytes) {
+      lens.push_back(std::min(cfg.target_bytes, data.size() - off));
+    }
+    return lens;
+  }
+  // The gear table: splitmix64 over the byte value, as the chunker's.
+  std::uint64_t gear[256];
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (auto& g : gear) {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    g = z ^ (z >> 31);
+  }
+  const std::uint64_t mask = cfg.target_bytes - 1;
+  std::size_t start = 0;
+  while (start < data.size()) {
+    const std::size_t remaining = data.size() - start;
+    if (remaining <= cfg.min_bytes) {
+      lens.push_back(remaining);
+      break;
+    }
+    const std::size_t limit = std::min(remaining, cfg.max_bytes);
+    std::uint64_t h = 0;
+    std::size_t len = 0;
+    for (; len < limit; ++len) {
+      h = (h << 1) + gear[static_cast<std::uint8_t>(data[start + len])];
+      if (len + 1 >= cfg.min_bytes && (h & mask) == 0) {
+        ++len;
+        break;
+      }
+    }
+    lens.push_back(len);
+    start += len;
+  }
+  return lens;
+}
+
+void expect_matches_reference(std::span<const std::byte> data,
+                              const ckpt::ChunkerConfig& cfg) {
+  const auto got = ckpt::chunk_image(data, cfg);
+  EXPECT_EQ(got.image_hash, fnv1a(data));
+  const auto lens = reference_cut_lengths(data, cfg);
+  ASSERT_EQ(got.chunks.size(), lens.size());
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < lens.size(); ++i) {
+    const auto want = data.subspan(off, lens[i]);
+    EXPECT_EQ(got.chunks[i].bytes.data(), want.data()) << "chunk " << i;
+    EXPECT_EQ(got.chunks[i].bytes.size(), want.size()) << "chunk " << i;
+    EXPECT_EQ(got.chunks[i].key, ckpt::ChunkKey::of(want)) << "chunk " << i;
+    off += lens[i];
+  }
+  EXPECT_EQ(off, data.size());
+}
+
+// Random bytes whose first cut falls exactly at min_bytes, the first
+// position where a cut may fall: only the last few bytes before a position
+// decide whether the gear hash matches there, so one of the 256 values of
+// the byte at min_bytes - 1 makes it match for about one seed in eight.
+std::vector<std::byte> image_cut_at_min(const ckpt::ChunkerConfig& cfg) {
+  for (std::uint64_t seed = 500; seed < 600; ++seed) {
+    auto img = random_bytes(2 * cfg.min_bytes, seed);
+    for (int b = 0; b < 256; ++b) {
+      img[cfg.min_bytes - 1] = static_cast<std::byte>(b);
+      if (reference_cut_lengths(img, cfg).front() == cfg.min_bytes) {
+        const auto rest = random_bytes(3 * cfg.max_bytes, seed);
+        img.insert(img.end(), rest.begin(), rest.end());
+        return img;
+      }
+    }
+  }
+  return {};
+}
+
+TEST(Chunker, FusedPassMatchesSeparatePasses) {
+  for (const auto mode : {ckpt::ChunkerConfig::Mode::kContentDefined,
+                          ckpt::ChunkerConfig::Mode::kFixed}) {
+    ckpt::ChunkerConfig cfg;
+    cfg.mode = mode;
+    const std::size_t m = cfg.max_bytes;
+    std::uint64_t seed = 40;
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, cfg.min_bytes - 1, cfg.min_bytes,
+          cfg.min_bytes + 1, cfg.target_bytes, m, m + 1, 3 * m, 7 * m + 5,
+          std::size_t{200 * 1024}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "mode " << static_cast<int>(mode) << " size " << n);
+      expect_matches_reference(random_bytes(n, ++seed), cfg);
+    }
+    // An all-zero image never matches the cut mask: every CDC cut is
+    // forced at max_bytes.
+    SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
+                                    << " all zero");
+    const std::vector<std::byte> zeros(5 * m + 300);
+    expect_matches_reference(zeros, cfg);
+    if (mode == ckpt::ChunkerConfig::Mode::kContentDefined) {
+      const auto chunks = ckpt::chunk_image(zeros, cfg).chunks;
+      ASSERT_EQ(chunks.size(), 6u);
+      for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+        EXPECT_EQ(chunks[i].bytes.size(), m);
+      }
+      const auto at_min = image_cut_at_min(cfg);
+      ASSERT_FALSE(at_min.empty());
+      expect_matches_reference(at_min, cfg);
+      EXPECT_EQ(ckpt::chunk_image(at_min, cfg).chunks.front().bytes.size(),
+                cfg.min_bytes);
+    }
+  }
 }
 
 // --------------------------------------------------------------- manifest
@@ -297,6 +421,93 @@ TEST(CheckpointStore, RetentionPrunesAndGcKeepsSharedChunks) {
   const auto back = store.restore("a");
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(std::equal(stable.begin(), stable.end(), back->begin()));
+}
+
+TEST(CheckpointStore, PutCollectsGarbageOnlyWhenRetentionPrunes) {
+  ckpt::CheckpointStore::Options opts;
+  opts.keep_manifests = 2;
+  ckpt::CheckpointStore store(fresh_dir("mj_ckpt_gc_when"), opts);
+  auto& gc_runs = obs::MetricsRegistry::instance().counter("ckpt.gc_runs");
+  // A chunk no manifest references, as a crashed put leaves behind.
+  const auto stray = random_bytes(3000, 50);
+  const auto stray_key = ckpt::ChunkKey::of(stray);
+  store.engine().put(stray_key, stray);
+  store.engine().flush();
+
+  // Puts that keep the snapshot within keep_manifests collect nothing.
+  const auto runs0 = gc_runs.value();
+  for (int v = 0; v < 2; ++v) {
+    const auto put = store.put("a", random_bytes(16 * 1024, 60 + v));
+    EXPECT_EQ(put.manifests_pruned, 0u);
+    EXPECT_EQ(put.chunks_evicted, 0u);
+  }
+  EXPECT_EQ(gc_runs.value(), runs0);
+  EXPECT_TRUE(store.engine().exists(stray_key));
+  EXPECT_EQ(store.verify().chunks_orphaned, 1u);
+
+  // The first put that prunes runs GC, which evicts the stray chunk along
+  // with the pruned version's chunks.
+  const auto pruning = store.put("a", random_bytes(16 * 1024, 62));
+  EXPECT_EQ(gc_runs.value(), runs0 + 1);
+  EXPECT_EQ(pruning.manifests_pruned, 1u);
+  EXPECT_GT(pruning.chunks_evicted, 1u);
+  EXPECT_FALSE(store.engine().exists(stray_key));
+
+  // An explicit collect_garbage() evicts at once.
+  store.engine().put(stray_key, stray);
+  const auto gc = store.collect_garbage();
+  EXPECT_EQ(gc_runs.value(), runs0 + 2);
+  EXPECT_EQ(gc.manifests_pruned, 0u);
+  EXPECT_EQ(gc.chunks_evicted, 1u);
+  EXPECT_FALSE(store.engine().exists(stray_key));
+  const auto report = store.verify();
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.chunks_orphaned, 0u);
+}
+
+TEST(CheckpointStore, ConcurrentPutsIntoOneSharedStore) {
+  // Two checkpointers share one store, as the agents of a LocalCluster
+  // do. With keep_manifests = 2 nearly every put prunes and runs GC while
+  // the other thread puts; GC must never evict a chunk the other put
+  // deduplicated against.
+  ckpt::CheckpointStore::Options opts;
+  opts.keep_manifests = 2;
+  auto store =
+      ckpt::CheckpointStore::open_shared(fresh_dir("mj_ckpt_concurrent"), opts);
+  const auto shared = random_bytes(32 * 1024, 70);
+  constexpr int kPuts = 12;
+  std::vector<std::byte> last[2];
+  std::string errors[2];
+  const auto checkpointer = [&](int t) {
+    try {
+      for (int v = 0; v < kPuts; ++v) {
+        auto img = shared;
+        const auto churn = random_bytes(8 * 1024, 1000 * (t + 1) + v);
+        img.insert(img.end(), churn.begin(), churn.end());
+        (void)store->put("rank_" + std::to_string(t), img);
+        last[t] = std::move(img);
+      }
+    } catch (const std::exception& e) {
+      errors[t] = e.what();
+    }
+  };
+  std::thread a(checkpointer, 0);
+  std::thread b(checkpointer, 1);
+  a.join();
+  b.join();
+
+  for (int t = 0; t < 2; ++t) {
+    const std::string snapshot = "rank_" + std::to_string(t);
+    EXPECT_EQ(errors[t], "");
+    EXPECT_EQ(store->latest_seq(snapshot), std::uint64_t{kPuts});
+    EXPECT_EQ(store->manifests(snapshot).size(), 2u);
+    const auto back = store->restore(snapshot);
+    ASSERT_TRUE(back.has_value()) << snapshot;
+    EXPECT_EQ(*back, last[t]) << snapshot;
+  }
+  const auto report = store->verify();
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.chunks_orphaned, 0u);
 }
 
 TEST(CheckpointStore, ValidatesSnapshotNames) {
