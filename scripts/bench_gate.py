@@ -15,6 +15,7 @@ Gated metrics:
   migration.pack_p50_us                  lower is better
   vm.hot_loop_native_ms                  lower is better (native tier)
   vm.native_speedup                      higher is better
+  vm.spec_loop_native_speedup            higher is better (stores in a level)
   rank_density.ranks_per_core            higher is better (fiber density)
   rank_density.coalesce_ratio            higher is better (frames/batch)
   rank_density.perrank_cost_ratio        lower is better (dense vs small)
@@ -52,6 +53,7 @@ GATED = [
     ("migration", "pack_p50_us", "lower"),
     ("vm", "hot_loop_native_ms", "lower"),
     ("vm", "native_speedup", "higher"),
+    ("vm", "spec_loop_native_speedup", "higher"),
     ("rank_density", "ranks_per_core", "higher"),
     ("rank_density", "coalesce_ratio", "higher"),
     ("rank_density", "perrank_cost_ratio", "lower"),
@@ -60,7 +62,8 @@ GATED = [
 ]
 
 # Metrics only meaningful when the native tier actually ran.
-NEEDS_JIT = {("vm", "hot_loop_native_ms"), ("vm", "native_speedup")}
+NEEDS_JIT = {("vm", "hot_loop_native_ms"), ("vm", "native_speedup"),
+             ("vm", "spec_loop_native_speedup")}
 
 
 def load_jsonl(path):

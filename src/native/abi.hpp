@@ -2,7 +2,7 @@
 //
 // Compiled code receives a single NativeContext* and communicates with the
 // VM exclusively through it: the virtual register frame it mutates, the
-// pointer-table / speculation mirrors it reads for inlined safety checks,
+// pointer-table mirror and speculation epoch it reads for inlined checks,
 // the instruction accounting it maintains, and the deoptimization record
 // it fills in before every exit. Native code NEVER completes a control
 // transfer (`speculate`, `migrate`, commit/rollback, external calls, halt)
@@ -81,8 +81,9 @@ struct NativeContext {
   runtime::Value* frame = nullptr;
   /// Pointer-table mirror for inlined dereference validation.
   const runtime::PointerTable::View* table_view = nullptr;
-  /// Active speculation level count; nonzero routes writes to the helper.
-  const std::uint64_t* spec_levels = nullptr;
+  /// Heap's speculation epoch (0 with no level active); a store to a block
+  /// whose header epoch is below it needs a COW clone, via the helper.
+  const std::uint64_t* spec_epoch = nullptr;
   /// The interpreter's per-opcode-class counters (kNumOpClasses entries);
   /// compiled code adds retired-block deltas directly.
   std::uint64_t* class_counts = nullptr;
@@ -113,7 +114,7 @@ inline constexpr std::size_t kMaxDirectArgs = 32;
 // Offsets baked into emitted code.
 inline constexpr std::int32_t kCtxFrame = 0;
 inline constexpr std::int32_t kCtxTableView = 8;
-inline constexpr std::int32_t kCtxSpecLevels = 16;
+inline constexpr std::int32_t kCtxSpecEpoch = 16;
 inline constexpr std::int32_t kCtxClassCounts = 24;
 inline constexpr std::int32_t kCtxCalls = 32;
 inline constexpr std::int32_t kCtxBudget = 40;
@@ -127,7 +128,7 @@ inline constexpr std::int32_t kCtxDeoptReason = 88;
 
 static_assert(offsetof(NativeContext, frame) == kCtxFrame);
 static_assert(offsetof(NativeContext, table_view) == kCtxTableView);
-static_assert(offsetof(NativeContext, spec_levels) == kCtxSpecLevels);
+static_assert(offsetof(NativeContext, spec_epoch) == kCtxSpecEpoch);
 static_assert(offsetof(NativeContext, class_counts) == kCtxClassCounts);
 static_assert(offsetof(NativeContext, calls) == kCtxCalls);
 static_assert(offsetof(NativeContext, budget_left) == kCtxBudget);
@@ -148,9 +149,11 @@ inline constexpr std::int32_t kValPtrOffset = 12; ///< PtrValue.offset
 
 // runtime::Block layout assumed by inlined heap accesses.
 static_assert(sizeof(runtime::Block) == 32);
+static_assert(offsetof(runtime::BlockHeader, spec_epoch) == 0);
 static_assert(offsetof(runtime::BlockHeader, index) == 16);
 static_assert(offsetof(runtime::BlockHeader, count) == 20);
 static_assert(offsetof(runtime::BlockHeader, kind) == 24);
+inline constexpr std::int32_t kBlockSpecEpoch = 0;
 inline constexpr std::int32_t kBlockCount = 20;
 inline constexpr std::int32_t kBlockKind = 24;
 inline constexpr std::int32_t kBlockPayload = 32;

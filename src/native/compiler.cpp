@@ -95,7 +95,7 @@ struct Plan {
   enum class Act : std::uint8_t {
     kInline,  ///< fully inlined machine code
     kHelper,  ///< one C helper call, trap → deopt
-    kHybrid,  ///< inlined fast path, helper fallback when speculating
+    kHybrid,  ///< inlined fast path, helper fallback for a COW clone
     kDeopt,   ///< unconditional deoptimization at this pc
     kDirect,  ///< statically-bound tail call: native-to-native jump
   };
@@ -271,9 +271,9 @@ bool plan_insn(const CompiledProgram& prog, const CompiledFunction& f,
       const bool p_ok = guard_need(st[I.r1], Tag::kPtr) != kGuardImpossible;
       const bool o_ok = guard_need(st[I.r2], Tag::kInt) != kGuardImpossible;
       if (v_nonptr && p_ok && o_ok) {
-        // Non-pointer store: the write barrier is a no-op, so when no
-        // speculation level is active the hook may be skipped and the
-        // store inlined. A runtime level-count test picks the path.
+        // Non-pointer store: the write barrier is a no-op, so unless the
+        // block needs a copy-on-write clone the hook may be skipped and
+        // the store inlined. A runtime epoch test picks the path.
         plan.act = Plan::Act::kHybrid;
         want(I.r1, Tag::kPtr);
         want(I.r2, Tag::kInt);
@@ -685,6 +685,16 @@ class FunctionCompiler {
     a_.jcc(kA, g);
   }
 
+  /// Block* in RAX: jump to `slow` when the heap's speculation epoch is
+  /// above the block's header epoch (unsigned), i.e. the store needs a
+  /// copy-on-write clone first. Clobbers RCX; preserves RAX and RDX.
+  void emit_cow_test(Assembler::Label slow) {
+    a_.mov_rm64(RCX, mem(RBX, kCtxSpecEpoch));
+    a_.mov_rm64(RCX, mem(RCX, 0));
+    a_.cmp_rm64(RCX, mem(RAX, kBlockSpecEpoch));
+    a_.jcc(kA, slow);
+  }
+
   void emit_insn(const Insn& I, std::uint32_t pc, const Plan& plan,
                  const ClassCounts& prefix, std::int32_t refund) {
     const auto g = [&](DeoptReason r = DeoptReason::kGuard) {
@@ -943,18 +953,16 @@ class FunctionCompiler {
     Assembler::Label slow = a_.make_label();
     Assembler::Label done = a_.make_label();
     if (hybrid) {
-      // Fast path is valid only outside any speculation level: no
-      // copy-on-write hook to run, and the stored value is statically
-      // non-pointer so the write barrier is a no-op.
-      a_.mov_rm64(RAX, mem(RBX, kCtxSpecLevels));
-      a_.cmp_mi64(mem(RAX, 0), 0);
-      a_.jcc(kNe, slow);
+      // Fast path: the value is statically non-pointer (the write barrier
+      // is a no-op), and after the guards the epoch test sends exactly the
+      // stores SpeculationManager::before_write would clone to the helper.
       switch (I.op) {
         case Op::kWrite:
           emit_access_prefix(I, 0, g);
           a_.mov_rm32(RCX, mem(RAX, kBlockCount));
           a_.cmp_rr(RDX, RCX);
           a_.jcc(kAe, g);
+          emit_cow_test(slow);
           a_.shl_ri(RDX, 4);
           a_.mov_rm64(RCX, vtag(I.r3));
           a_.mov_rm64(RSI, vpay(I.r3));
@@ -964,6 +972,7 @@ class FunctionCompiler {
         case Op::kRawStore:
           emit_access_prefix(I, 1, g);
           emit_raw_bounds(I.sub, g);
+          emit_cow_test(slow);
           a_.mov_rm64(RCX, vpay(I.r3));
           switch (I.sub) {
             case 8: a_.mov_mr64(mem(RAX, RDX, 1, kBlockPayload), RCX); break;
@@ -975,6 +984,7 @@ class FunctionCompiler {
         default:  // kRawStoreF
           emit_access_prefix(I, 1, g);
           emit_raw_bounds(8, g);
+          emit_cow_test(slow);
           a_.mov_rm64(RCX, vpay(I.r3));
           a_.mov_mr64(mem(RAX, RDX, 1, kBlockPayload), RCX);
           break;
@@ -1011,8 +1021,8 @@ class FunctionCompiler {
                         const ClassCounts& prefix, std::int32_t refund,
                         const ClassCounts& full) {
     // Resolve the target's native entry; a not-yet-compiled target deopts
-    // at this pc and the interpreter performs the transfer (which feeds the
-    // target's own hotness counter).
+    // at this pc and the interpreter performs the transfer (which the
+    // engine makes the target's compiling entry).
     a_.mov_rm64(R9, mem(RBX, kCtxEntries));
     a_.mov_rm64(R9, mem(R9, static_cast<std::int32_t>(8 * plan.callee)));
     a_.test_rr(R9, R9);

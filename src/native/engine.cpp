@@ -148,9 +148,9 @@ JitOptions jit_options_from_env() {
 
 // --- Engine -----------------------------------------------------------------
 
-Engine::Engine(runtime::Heap& heap, spec::SpeculationManager& spec,
-               const vm::CompiledProgram& prog, JitOptions opts)
-    : heap_(heap), spec_(spec), prog_(prog), opts_(opts) {
+Engine::Engine(runtime::Heap& heap, const vm::CompiledProgram& prog,
+               JitOptions opts)
+    : heap_(heap), prog_(prog), opts_(opts) {
   const std::size_t n = prog_.functions.size();
   status_.assign(n, Status::kCold);
   hot_.assign(n, 0);
@@ -208,6 +208,22 @@ void Engine::compile(FunIndex fun) {
   compile_us_metric_->record_us(static_cast<double>(dt.count()) / 1000.0);
 }
 
+// A direct jump from compiled code found its target uncompiled. Make the
+// interpreter's transfer that follows (the target's next entry) the one
+// that crosses the threshold, so the edge bounces once, not once per
+// hotness tick. The target is the tail call's callee register.
+void Engine::promote_cold_target(const NativeContext& ctx) {
+  const vm::Insn& call = prog_.functions[ctx.deopt_fun].code[ctx.deopt_pc];
+  if (call.op != vm::Op::kTailCall) return;
+  const Value callee = frame_[call.r1];
+  if (!callee.is(runtime::Tag::kFun)) return;
+  const FunIndex target = callee.as_fun();
+  if (target < status_.size() && status_[target] == Status::kCold &&
+      opts_.threshold > 0) {
+    hot_[target] = std::max(hot_[target], opts_.threshold - 1);
+  }
+}
+
 bool Engine::try_run(RunIo& io) {
   const FunIndex fun = io.fun;
   if (fun >= status_.size()) return false;
@@ -225,7 +241,7 @@ bool Engine::try_run(RunIo& io) {
   NativeContext ctx;
   ctx.frame = frame_.data();
   ctx.table_view = heap_.table().view();
-  ctx.spec_levels = spec_.level_count_addr();
+  ctx.spec_epoch = heap_.spec_epoch_addr();
   ctx.class_counts = io.class_counts;
   ctx.calls = io.calls;
   ctx.budget_left = io.budget;
@@ -245,6 +261,10 @@ bool Engine::try_run(RunIo& io) {
   // code keeps the frame current instruction-by-instruction, so this is
   // exactly the state a pure interpreter would hold at (deopt_fun, pc).
   const vm::CompiledFunction& df = prog_.functions[ctx.deopt_fun];
+  if (ctx.deopt_reason ==
+      static_cast<std::uint32_t>(DeoptReason::kColdTarget)) {
+    promote_cold_target(ctx);
+  }
   io.regs->assign(df.num_regs, Value::unit());
   std::copy(frame_.begin(), frame_.begin() + df.num_regs, io.regs->begin());
 

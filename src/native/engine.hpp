@@ -4,7 +4,8 @@
 // The Engine owns the machine-code side of the tiered VM. The interpreter
 // offers it every control transfer (function entry); the engine counts
 // transfers per function, compiles a function once it crosses the hotness
-// threshold, and from then on runs it natively until the code deoptimizes.
+// threshold (or on its next entry after compiled code jumped to it cold),
+// and from then on runs it natively until the code deoptimizes.
 // A deopt hands back (function, pc) plus the full virtual register frame,
 // and the interpreter resumes mid-function as if it had executed every
 // retired instruction itself — budget, per-class counters and call counts
@@ -24,7 +25,6 @@
 #include "native/options.hpp"
 #include "runtime/gc.hpp"
 #include "runtime/heap.hpp"
-#include "spec/speculation.hpp"
 #include "support/common.hpp"
 #include "vm/bytecode.hpp"
 
@@ -61,8 +61,8 @@ struct RunIo {
 
 class Engine final : public runtime::RootProvider {
  public:
-  Engine(runtime::Heap& heap, spec::SpeculationManager& spec,
-         const vm::CompiledProgram& prog, JitOptions opts);
+  Engine(runtime::Heap& heap, const vm::CompiledProgram& prog,
+         JitOptions opts);
   ~Engine() override;
 
   Engine(const Engine&) = delete;
@@ -95,9 +95,9 @@ class Engine final : public runtime::RootProvider {
   enum class Status : std::uint8_t { kCold, kCompiled, kFailed };
 
   void compile(FunIndex fun);
+  void promote_cold_target(const NativeContext& ctx);
 
   runtime::Heap& heap_;
-  spec::SpeculationManager& spec_;
   const vm::CompiledProgram& prog_;
   JitOptions opts_;
 

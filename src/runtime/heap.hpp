@@ -106,9 +106,12 @@ class Heap {
   [[nodiscard]] ClonePair cow_clone(BlockIndex idx);
 
   /// Stamp used on every allocation/clone; advanced by the speculation
-  /// manager on each speculate().
+  /// manager on each speculate(). Native code reads it through the stable
+  /// address: a block whose header epoch is at least this needs no COW.
   void set_spec_epoch(std::uint64_t e) { spec_epoch_ = e; }
-  [[nodiscard]] std::uint64_t spec_epoch() const { return spec_epoch_; }
+  [[nodiscard]] const std::uint64_t* spec_epoch_addr() const {
+    return &spec_epoch_;
+  }
 
   void set_write_hook(WriteHook* hook) { write_hook_ = hook; }
 

@@ -57,7 +57,6 @@ SpecLevel SpeculationManager::speculate(SavedContinuation continuation) {
   record.epoch = next_epoch_++;
   record.continuation = std::move(continuation);
   levels_.push_back(std::move(record));
-  level_count_mirror_ = levels_.size();
   // Stamp subsequent allocations and clones with this level's epoch so
   // before_write can tell "already versioned here" from "needs a clone".
   heap_.set_spec_epoch(levels_.back().epoch);
@@ -110,7 +109,6 @@ void SpeculationManager::commit(SpecLevel level) {
   // When level == 1 the record is simply dropped: the preserved versions
   // become unreachable and the collector reclaims them.
   levels_.erase(levels_.begin() + static_cast<std::ptrdiff_t>(level) - 1);
-  level_count_mirror_ = levels_.size();
   // When no level is active, stamp allocations with epoch 0: strictly
   // below every future level's entry epoch, so the first write inside the
   // next speculation correctly preserves them copy-on-write.
@@ -148,7 +146,6 @@ RollbackOutcome SpeculationManager::rollback(SpecLevel level,
   }
   SavedContinuation continuation = std::move(levels_[level - 1].continuation);
   levels_.resize(level - 1);
-  level_count_mirror_ = levels_.size();
   ++stats_.rollbacks;
   SpecMetrics& m = SpecMetrics::get();
   m.rollbacks.inc();

@@ -83,14 +83,6 @@ class SpeculationManager final : public runtime::WriteHook,
     return static_cast<SpecLevel>(levels_.size());
   }
 
-  /// Stable-address mirror of the active level count, read by the native
-  /// tier's inlined write fast path: a write may skip the copy-on-write
-  /// hook only while this is zero (before_write/after_alloc are no-ops
-  /// with no active level).
-  [[nodiscard]] const std::uint64_t* level_count_addr() const {
-    return &level_count_mirror_;
-  }
-
   /// Observer invoked at the start of every rollback. The cluster layer
   /// uses it to propagate aborts to processes that joined this process's
   /// speculation by consuming its speculative messages (paper, Section 1:
@@ -137,9 +129,6 @@ class SpeculationManager final : public runtime::WriteHook,
 
   runtime::Heap& heap_;
   std::vector<LevelRecord> levels_;
-  /// Kept equal to levels_.size() after every mutation (see
-  /// level_count_addr).
-  std::uint64_t level_count_mirror_ = 0;
   std::uint64_t next_epoch_ = 1;
   SpecStats stats_;
   std::function<void(SpecLevel, bool)> rollback_observer_;

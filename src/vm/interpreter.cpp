@@ -192,8 +192,7 @@ SliceResult Interpreter::exec_slice(std::uint64_t max_insns) {
   // the host cannot run it, `engine` stays null and this function is a
   // pure interpreter — bit-identical behaviour either way.
   if (jit_opts_.enabled && engine_ == nullptr && native::jit_supported()) {
-    engine_ = std::make_unique<native::Engine>(heap_, spec_, compiled_,
-                                               jit_opts_);
+    engine_ = std::make_unique<native::Engine>(heap_, compiled_, jit_opts_);
   }
   native::Engine* engine = jit_opts_.enabled ? engine_.get() : nullptr;
 

@@ -7,6 +7,7 @@
 // the probe reports the tier unavailable (non-x86-64, W^X-restricted).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <random>
 #include <vector>
@@ -131,6 +132,69 @@ TEST(NativeTier, ColdThresholdKeepsFunctionsInterpreted) {
   EXPECT_EQ(n.exit_code, 45);
   EXPECT_EQ(n.compiled, 0u);
   EXPECT_EQ(n.deopts, 0u);
+}
+
+TEST(NativeTier, ColdTargetCompilesOnItsNextEntry) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  // loop(i, acc) spins on itself until i == 20, then alternates with
+  // side(i, acc), which has never run. Once loop is compiled its jump to
+  // side deopts as a cold target; that deopt must make side's next entry
+  // compile it, rather than bouncing once per hotness tick.
+  constexpr std::uint32_t kThreshold = 16;  // below the 20 warm-up spins
+  std::uint32_t loop_id = 0;
+  std::uint32_t side_id = 0;
+  auto make = [&] {
+    ProgramBuilder pb("cold_target");
+    auto main_id = pb.declare("main", {});
+    loop_id = pb.declare("loop", {Type::integer(), Type::integer()});
+    side_id = pb.declare("side", {Type::integer(), Type::integer()});
+    {
+      auto fb = pb.define(main_id, {});
+      fb.tail_call(Atom::fun_ref(loop_id),
+                   {Atom::integer(0), Atom::integer(0)});
+    }
+    {
+      auto fb = pb.define(loop_id, {"i", "acc"});
+      auto done = fb.let_binop("done", Binop::kGe, fb.arg(0),
+                               Atom::integer(400));
+      fb.branch(
+          fb.v(done), [&](auto& t) { t.halt(t.arg(1)); },
+          [&](auto& e) {
+            auto warm = e.let_binop("warm", Binop::kLt, e.arg(0),
+                                    Atom::integer(20));
+            e.branch(
+                e.v(warm),
+                [&](auto& t2) {
+                  auto i1 = t2.let_binop("i1", Binop::kAdd, t2.arg(0),
+                                         Atom::integer(1));
+                  t2.tail_call(Atom::fun_ref(loop_id), {t2.v(i1), t2.arg(1)});
+                },
+                [&](auto& e2) {
+                  e2.tail_call(Atom::fun_ref(side_id), {e2.arg(0), e2.arg(1)});
+                });
+          });
+    }
+    {
+      auto fb = pb.define(side_id, {"i", "acc"});
+      auto a3 = fb.let_binop("a3", Binop::kMul, fb.arg(1), Atom::integer(3));
+      auto acc = fb.let_binop("acc", Binop::kAdd, fb.v(a3), fb.arg(0));
+      auto lo = fb.let_binop("lo", Binop::kAnd, fb.v(acc),
+                             Atom::integer(0xffff));
+      auto i1 = fb.let_binop("i1", Binop::kAdd, fb.arg(0), Atom::integer(1));
+      fb.tail_call(Atom::fun_ref(loop_id), {fb.v(i1), fb.v(lo)});
+    }
+    return pb.take("main");
+  };
+  vm::Process p(make(), jit_on(kThreshold));
+  const std::int64_t code = p.run().exit_code;
+  const native::Engine* eng = p.vm().native_engine();
+  ASSERT_NE(eng, nullptr);
+  EXPECT_TRUE(eng->is_compiled(loop_id));
+  EXPECT_TRUE(eng->is_compiled(side_id));  // compiled on its next entry
+  EXPECT_LE(eng->deopt_count(native::DeoptReason::kColdTarget), 1u);
+  const TierRun i = run_tier(make(), jit_off());
+  EXPECT_EQ(code, i.exit_code);
+  EXPECT_EQ(p.vm().stats().instructions, i.instructions);
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +462,8 @@ TEST(NativeDeopt, ForcedRollbackRestoresHeapFromNativeWrites) {
   // main: buf = alloc(1, 3); speculate body(c, buf)
   // body: first entry runs a *hot native loop* of speculative heap writes,
   // then aborts — every write must be rolled back even though they were
-  // issued from compiled code (via the logging write barrier helper).
+  // issued from compiled code (the first through the helper, which clones
+  // the block copy-on-write; the rest inline into the clone).
   ProgramBuilder pb("native_rollback");
   auto main_id = pb.declare("main", {});
   auto body_id = pb.declare("body", {Type::integer(), Type::ptr()});
@@ -448,6 +513,214 @@ TEST(NativeDeopt, ForcedRollbackRestoresHeapFromNativeWrites) {
   EXPECT_GE(eng->compiled_functions(), 1u);
   EXPECT_GE(eng->deopt_count(native::DeoptReason::kSpeculate), 1u);
   EXPECT_GE(eng->deopt_count(native::DeoptReason::kRollback), 1u);
+}
+
+/// Every live block in table order: index, kind, size and contents —
+/// tagged slots as (tag, payload bits), raw blocks byte for byte.
+std::vector<std::uint64_t> heap_image(runtime::Heap& heap) {
+  std::vector<std::uint64_t> out;
+  const runtime::PointerTable::View* view = heap.table().view();
+  for (std::uint64_t i = 1; i < view->size; ++i) {
+    const runtime::Block* b = view->data[i];
+    if (b == nullptr) continue;
+    out.push_back(i);
+    out.push_back(static_cast<std::uint64_t>(b->h.kind));
+    out.push_back(b->h.count);
+    if (b->h.kind == runtime::BlockKind::kRaw) {
+      for (std::uint32_t k = 0; k < b->h.count; ++k) {
+        out.push_back(static_cast<std::uint64_t>(b->bytes()[k]));
+      }
+      continue;
+    }
+    for (std::uint32_t k = 0; k < b->h.count; ++k) {
+      const runtime::Value& v = b->slot(k);
+      std::uint64_t bits = 0;
+      switch (v.tag()) {
+        case runtime::Tag::kUnit: break;
+        case runtime::Tag::kInt:
+          bits = static_cast<std::uint64_t>(v.as_int());
+          break;
+        case runtime::Tag::kFloat:
+          bits = std::bit_cast<std::uint64_t>(v.as_float());
+          break;
+        case runtime::Tag::kPtr:
+          bits = (std::uint64_t{v.as_ptr().index} << 32) | v.as_ptr().offset;
+          break;
+        case runtime::Tag::kFun: bits = v.as_fun(); break;
+      }
+      out.push_back(static_cast<std::uint64_t>(v.tag()));
+      out.push_back(bits);
+    }
+  }
+  return out;
+}
+
+/// Read-modify-write stores of all three inlinable kinds (kWrite of a
+/// float, kRawStore, kRawStoreF) from a hot loop, into blocks allocated
+/// before level 1 (`pre`, `rawpre`) and inside it (`in`, `rawin`):
+///   phase 1 (level 1): the pre-level blocks need one clone each, the
+///     level-1 blocks none;
+///   phase 2 (level 2 entered): every block needs a fresh clone;
+///   the level is rolled back with retry, re-entering with a new epoch;
+///   phase 3 (level 2 again): every block needs a clone again;
+/// then both levels commit and the program halts.
+fir::Program make_epoch_stores(std::int64_t iters) {
+  ProgramBuilder pb("epoch_stores");
+  const std::vector<Type> blocks = {Type::ptr(), Type::ptr(), Type::ptr(),
+                                    Type::ptr()};
+  auto with_blocks = [&](std::vector<Type> head) {
+    head.insert(head.end(), blocks.begin(), blocks.end());
+    return head;
+  };
+  auto main_id = pb.declare("main", {});
+  auto lvl1_id =
+      pb.declare("lvl1", {Type::integer(), Type::ptr(), Type::ptr()});
+  auto lvl2_id =
+      pb.declare("lvl2", with_blocks({Type::integer(), Type::integer()}));
+  auto loop_id = pb.declare(
+      "loop", with_blocks({Type::integer(), Type::integer(), Type::integer()}));
+  auto after_id =
+      pb.declare("after", with_blocks({Type::integer(), Type::integer()}));
+  auto fin1_id = pb.declare("fin1", with_blocks({Type::integer()}));
+  auto fin2_id = pb.declare("fin2", blocks);
+  {
+    auto fb = pb.define(main_id, {});
+    auto pre = fb.let_alloc("pre", Atom::integer(4), Atom::real(0.0));
+    auto rawpre = fb.let_alloc_raw("rawpre", Atom::integer(24));
+    fb.speculate(Atom::fun_ref(lvl1_id), {fb.v(pre), fb.v(rawpre)});
+  }
+  {
+    auto fb = pb.define(lvl1_id, {"c", "pre", "rawpre"});
+    auto in = fb.let_alloc("in", Atom::integer(4), Atom::real(0.0));
+    auto rawin = fb.let_alloc_raw("rawin", Atom::integer(24));
+    fb.tail_call(Atom::fun_ref(loop_id),
+                 {Atom::integer(0), Atom::integer(1), fb.arg(0), fb.arg(1),
+                  fb.arg(2), fb.v(in), fb.v(rawin)});
+  }
+  {
+    // First entry: c is the level (2); the retry re-enters with c = 3.
+    auto fb = pb.define(lvl2_id, {"c", "l1", "pre", "rawpre", "in", "rawin"});
+    fb.tail_call(Atom::fun_ref(loop_id),
+                 {Atom::integer(0), fb.arg(0), fb.arg(1), fb.arg(2),
+                  fb.arg(3), fb.arg(4), fb.arg(5)});
+  }
+  {
+    auto fb = pb.define(loop_id, {"i", "phase", "l1", "pre", "rawpre", "in",
+                                  "rawin"});
+    auto done = fb.let_binop("done", Binop::kGe, fb.arg(0),
+                             Atom::integer(iters));
+    fb.branch(
+        fb.v(done),
+        [&](auto& t) {
+          t.tail_call(Atom::fun_ref(after_id),
+                      {t.arg(1), t.arg(2), t.arg(3), t.arg(4), t.arg(5),
+                       t.arg(6)});
+        },
+        [&](auto& e) {
+          auto slot = e.let_binop("slot", Binop::kAnd, e.arg(0),
+                                  Atom::integer(3));
+          auto fi = e.let_unop("fi", fir::Unop::kFloatOfInt, e.arg(0));
+          auto fp = e.let_unop("fp", fir::Unop::kFloatOfInt, e.arg(1));
+          auto fx = e.let_binop("fx", Binop::kFMul, e.v(fi), e.v(fp));
+          auto ix = e.let_binop("ix", Binop::kMul, e.arg(0), e.arg(1));
+          for (const std::uint32_t tagged : {3u, 5u}) {
+            const std::string n = std::to_string(tagged);
+            auto old = e.let_read("t" + n, Type::real(), e.arg(tagged),
+                                  e.v(slot));
+            auto sum = e.let_binop("ts" + n, Binop::kFAdd, e.v(old), e.v(fx));
+            e.write(e.arg(tagged), e.v(slot), e.v(sum));
+          }
+          for (const std::uint32_t raw : {4u, 6u}) {
+            const std::string n = std::to_string(raw);
+            auto q = e.let_raw_load("q" + n, 8, e.arg(raw), Atom::integer(0));
+            auto q1 = e.let_binop("qs" + n, Binop::kAdd, e.v(q), e.v(ix));
+            e.raw_store(8, e.arg(raw), Atom::integer(0), e.v(q1));
+            auto f = e.let_raw_loadf("f" + n, e.arg(raw), Atom::integer(8));
+            auto f1 = e.let_binop("fs" + n, Binop::kFAdd, e.v(f), e.v(fx));
+            e.raw_storef(e.arg(raw), Atom::integer(8), e.v(f1));
+            e.raw_store(4, e.arg(raw), Atom::integer(16), e.v(ix));
+            e.raw_store(2, e.arg(raw), Atom::integer(20), e.v(q1));
+            e.raw_store(1, e.arg(raw), Atom::integer(22), e.arg(0));
+          }
+          auto i1 = e.let_binop("i1", Binop::kAdd, e.arg(0), Atom::integer(1));
+          e.tail_call(Atom::fun_ref(loop_id),
+                      {e.v(i1), e.arg(1), e.arg(2), e.arg(3), e.arg(4),
+                       e.arg(5), e.arg(6)});
+        });
+  }
+  {
+    auto fb = pb.define(after_id, {"phase", "l1", "pre", "rawpre", "in",
+                                   "rawin"});
+    auto first = fb.let_binop("first", Binop::kEq, fb.arg(0),
+                              Atom::integer(1));
+    fb.branch(
+        fb.v(first),
+        [&](auto& t) {
+          t.speculate(Atom::fun_ref(lvl2_id), {t.arg(1), t.arg(2), t.arg(3),
+                                               t.arg(4), t.arg(5)});
+        },
+        [&](auto& e) {
+          auto l2 = e.let_binop("l2", Binop::kAdd, e.arg(1), Atom::integer(1));
+          auto retry = e.let_binop("retry", Binop::kEq, e.arg(0),
+                                   Atom::integer(2));
+          e.branch(
+              e.v(retry),
+              [&](auto& t2) { t2.rollback(t2.v(l2), Atom::integer(3)); },
+              [&](auto& e2) {
+                e2.commit(e2.v(l2), Atom::fun_ref(fin1_id),
+                          {e2.arg(1), e2.arg(2), e2.arg(3), e2.arg(4),
+                           e2.arg(5)});
+              });
+        });
+  }
+  {
+    auto fb = pb.define(fin1_id, {"l1", "pre", "rawpre", "in", "rawin"});
+    fb.commit(fb.arg(0), Atom::fun_ref(fin2_id),
+              {fb.arg(1), fb.arg(2), fb.arg(3), fb.arg(4)});
+  }
+  {
+    auto fb = pb.define(fin2_id, {"pre", "rawpre", "in", "rawin"});
+    auto q = fb.let_raw_load("q", 8, fb.arg(3), Atom::integer(0));
+    auto lo = fb.let_binop("lo", Binop::kAnd, fb.v(q),
+                           Atom::integer(0x7fffffff));
+    fb.halt(fb.v(lo));
+  }
+  return pb.take("main");
+}
+
+TEST(NativeDeopt, InlineStoresCloneExactlyWhenTheInterpreterWould) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  struct Outcome {
+    std::int64_t exit_code = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t blocks_preserved = 0;
+    std::uint64_t bytes_preserved = 0;
+    std::vector<std::uint64_t> heap;
+    std::uint64_t compiled = 0;
+  };
+  const auto run = [](const vm::ProcessConfig& cfg) {
+    vm::Process p(make_epoch_stores(300), cfg);
+    Outcome o;
+    o.exit_code = p.run().exit_code;
+    o.instructions = p.vm().stats().instructions;
+    o.blocks_preserved = p.spec().stats().blocks_preserved;
+    o.bytes_preserved = p.spec().stats().bytes_preserved;
+    o.heap = heap_image(p.heap());
+    if (const native::Engine* eng = p.vm().native_engine()) {
+      o.compiled = eng->compiled_functions();
+    }
+    return o;
+  };
+  const Outcome n = run(jit_on(1));
+  const Outcome i = run(jit_off());
+  EXPECT_GE(n.compiled, 1u);
+  EXPECT_EQ(n.exit_code, i.exit_code);
+  EXPECT_EQ(n.instructions, i.instructions);
+  EXPECT_EQ(n.heap, i.heap);
+  EXPECT_EQ(n.bytes_preserved, i.bytes_preserved);
+  EXPECT_EQ(n.blocks_preserved, i.blocks_preserved);
+  // 2 pre-level blocks in level 1, then all 4 on each entry of level 2.
+  EXPECT_EQ(i.blocks_preserved, 10u);
 }
 
 // ---------------------------------------------------------------------------
