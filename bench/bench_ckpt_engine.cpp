@@ -10,8 +10,8 @@
 // flat layout would leave 10^6; a healthy engine leaves a handful).
 //
 // The micro benchmarks pin the per-operation costs around that headline:
-// cold put, cached read vs uncached read (the LRU block cache), and
-// compaction of a half-dead extent population.
+// cold put, a checksum-verified read from the extent file, and compaction
+// of a half-dead extent population.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -55,27 +55,9 @@ void BM_EngineSmallPut(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
-void BM_EngineReadCached(benchmark::State& state) {
-  const fs::path dir = fresh_dir("mojave_bench_engine_read_hot");
+void BM_EngineRead(benchmark::State& state) {
+  const fs::path dir = fresh_dir("mojave_bench_engine_read");
   ckpt::ChunkEngine engine(dir);
-  std::vector<ckpt::ChunkKey> keys;
-  for (std::uint64_t i = 0; i < 1024; ++i) {
-    const auto data = small_chunk(i);
-    keys.push_back(ckpt::ChunkKey::of(data));
-    engine.put(keys.back(), data);
-  }
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    auto got = engine.read(keys[i++ % keys.size()]);
-    benchmark::DoNotOptimize(got);
-  }
-}
-
-void BM_EngineReadUncached(benchmark::State& state) {
-  const fs::path dir = fresh_dir("mojave_bench_engine_read_cold");
-  ckpt::ChunkEngine::Options opts;
-  opts.cache_bytes = 0;  // every read goes to the extent file
-  ckpt::ChunkEngine engine(dir, opts);
   std::vector<ckpt::ChunkKey> keys;
   for (std::uint64_t i = 0; i < 1024; ++i) {
     const auto data = small_chunk(i);
@@ -118,8 +100,7 @@ void BM_EngineCompactHalfDead(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_EngineSmallPut)->MinTime(0.5);
-BENCHMARK(BM_EngineReadCached)->MinTime(0.5);
-BENCHMARK(BM_EngineReadUncached)->MinTime(0.5);
+BENCHMARK(BM_EngineRead)->MinTime(0.5);
 BENCHMARK(BM_EngineCompactHalfDead)->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
@@ -129,10 +110,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
 
   // The headline run: 10^6 distinct small checkpoints into one engine,
-  // then read a sample back (half repeated, exercising the cache). The
-  // trendline gates throughput (floor) and the extent-file count
-  // (ceiling): the flat layout this engine replaced would report
-  // small_put_extents = 10^6.
+  // then read a sample back (half of it twice). The trendline gates
+  // throughput (floor) and the extent-file count (ceiling): the flat
+  // layout this engine replaced would report small_put_extents = 10^6.
   constexpr std::uint64_t kSmallPuts = 1000000;
   const fs::path dir = fresh_dir("mojave_bench_engine_headline");
   ckpt::ChunkEngine engine(dir);
@@ -161,18 +141,13 @@ int main(int argc, char** argv) {
       "\"small_puts\":%llu,\"small_put_per_s\":%.0f,"
       "\"small_put_extents\":%llu,\"small_put_wall_ms\":%.1f,"
       "\"extent_file_mb\":%.1f,\"live_ratio\":%.4f,"
-      "\"read_per_s\":%.0f,\"read_ok\":%llu,"
-      "\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_hit_rate\":%.4f,\"compactions\":%llu}\n",
+      "\"read_per_s\":%.0f,\"read_ok\":%llu,\"compactions\":%llu}\n",
       static_cast<unsigned long long>(kSmallPuts),
       static_cast<double>(kSmallPuts) / put_s,
       static_cast<unsigned long long>(stats.extents), put_s * 1e3,
       static_cast<double>(stats.extent_file_bytes) / (1024.0 * 1024.0),
       stats.live_ratio(), static_cast<double>(kReads) / read_s,
       static_cast<unsigned long long>(read_ok),
-      static_cast<unsigned long long>(stats.cache_hits),
-      static_cast<unsigned long long>(stats.cache_misses),
-      stats.cache_hit_rate(),
       static_cast<unsigned long long>(stats.compactions));
 
   benchmark::Shutdown();

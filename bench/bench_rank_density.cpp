@@ -68,10 +68,6 @@ double run_density(std::uint32_t ranks, const fs::path& storage,
                    benchmark::State& state) {
   dnode::AgentConfig acfg;
   acfg.storage_root = storage;
-  // Hundreds of co-hosted heaps: keep each rank's arenas small (the heat
-  // band is a few KB) so the dense run measures scheduling, not paging.
-  acfg.heap.young_capacity = 64 * 1024;
-  acfg.heap.old_capacity = 1024 * 1024;
   dnode::NodeAgent a0(acfg), a1(acfg);
 
   dnode::CoordinatorConfig ccfg;

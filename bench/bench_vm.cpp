@@ -187,15 +187,23 @@ int main(int argc, char** argv) {
   // jit_supported says why.
   const bool supported = native::jit_supported();
   double interp_s = 0, native_s = 0, spec_interp_s = 0, spec_native_s = 0;
-  if (!compare_tiers(0, supported, interp_s, native_s) ||
-      !compare_tiers(3, supported, spec_interp_s, spec_native_s)) {
-    return 1;
-  }
-  const auto snap = mojave::obs::MetricsRegistry::instance().snapshot();
+  // The native counters are deltas over the one compare_tiers run of
+  // workload 0, so they compare between runs; the registry's totals also
+  // count every Google Benchmark iteration, whose number depends on the
+  // host's speed.
+  auto& reg = mojave::obs::MetricsRegistry::instance();
+  const auto before = reg.snapshot();
+  if (!compare_tiers(0, supported, interp_s, native_s)) return 1;
+  const auto after = reg.snapshot();
+  if (!compare_tiers(3, supported, spec_interp_s, spec_native_s)) return 1;
   const auto counter = [&](const char* name) -> unsigned long long {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0ull : it->second;
+    const auto value = [name](const mojave::obs::RegistrySnapshot& snap) {
+      const auto it = snap.counters.find(name);
+      return it == snap.counters.end() ? 0ull : it->second;
+    };
+    return value(after) - value(before);
   };
+  const auto snap = reg.snapshot();
   const auto hist_q = [&](const char* name, double q) -> double {
     const auto it = snap.histograms.find(name);
     return it == snap.histograms.end() ? 0.0 : it->second.quantile_us(q);

@@ -63,16 +63,6 @@ ChunkedImage chunk_image(std::span<const std::byte> data,
     hi = ChunkKey::kHiSeed;
   };
 
-  if (cfg.mode == ChunkerConfig::Mode::kFixed) {
-    while (start < data.size()) {
-      const std::size_t len = std::min(cfg.target_bytes, data.size() - start);
-      for (std::size_t i = start; i < start + len; ++i) absorb(bytes[i]);
-      cut(len);
-    }
-    out.image_hash = image;
-    return out;
-  }
-
   // Gear CDC: g = (g << 1) + gear[b]; cut where the low target_bits of g
   // are zero, giving an expected chunk size of target_bytes past the
   // minimum. The shift ages each byte out after 64 positions, so g is a

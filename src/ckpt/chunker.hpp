@@ -1,19 +1,14 @@
 // Byte slicing for the content-addressed checkpoint store.
 //
-// A packed process image is split into chunks before storage. Two modes:
+// A packed process image is split into chunks before storage by gear-hash
+// content-defined chunking (CDC): a cut is placed where a rolling hash of
+// the trailing bytes matches a mask, so boundaries are a function of
+// *content*, not position. An edit disturbs only the chunk(s) it touches;
+// everything downstream re-aligns and dedupes against the previous
+// snapshot, where fixed-size slices would shift every later boundary.
 //
-//  * kFixed          — fixed-size slices. Cheapest, but an insertion near
-//                      the front of the image shifts every later boundary,
-//                      so only tail-stable images dedupe well.
-//  * kContentDefined — gear-hash content-defined chunking (CDC): a cut is
-//                      placed where a rolling hash of the trailing bytes
-//                      matches a mask, so boundaries are a function of
-//                      *content*, not position. An edit disturbs only the
-//                      chunk(s) it touches; everything downstream re-aligns
-//                      and dedupes against the previous snapshot.
-//
-// Both modes are deterministic: the same bytes always produce the same
-// chunk sequence, which is what makes cross-snapshot and cross-node
+// Chunking is deterministic: the same bytes always produce the same chunk
+// sequence, which is what makes cross-snapshot and cross-node
 // deduplication sound.
 #pragma once
 
@@ -27,13 +22,10 @@
 namespace mojave::ckpt {
 
 struct ChunkerConfig {
-  enum class Mode : std::uint8_t { kFixed = 0, kContentDefined = 1 };
-
-  Mode mode = Mode::kContentDefined;
-  /// No cut before this many bytes (CDC); also the tail-chunk floor.
+  /// No cut before this many bytes; also the tail-chunk floor.
   std::size_t min_bytes = 512;
   /// Expected average chunk size; must be a power of two (it forms the
-  /// cut mask). Fixed mode slices at exactly this size.
+  /// cut mask).
   std::size_t target_bytes = 2048;
   /// Forced cut at this size even if the hash never matches.
   std::size_t max_bytes = 8192;

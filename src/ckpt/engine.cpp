@@ -31,14 +31,14 @@ constexpr std::uint8_t kCodecZeroRle = 1;
 // + codec(1); the payload follows, then the u64 checksum trailer.
 constexpr std::uint64_t kHeaderBytes = 38;
 constexpr std::uint64_t kTrailerBytes = 8;
+/// compact() rewrites an extent once at least this fraction of it is dead.
+constexpr double kCompactMinDeadRatio = 0.5;
 
 struct EngineMetrics {
   obs::Counter& puts;
   obs::Counter& dedup_hits;
   obs::Counter& tombstones;
   obs::Counter& bytes_written;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
   obs::Counter& compactions;
   obs::Counter& read_errors;
   obs::Gauge& extents;
@@ -50,8 +50,6 @@ struct EngineMetrics {
                            reg.counter("ckpt.engine.dedup_hits"),
                            reg.counter("ckpt.engine.tombstones"),
                            reg.counter("ckpt.engine.bytes_written"),
-                           reg.counter("ckpt.engine.cache_hits"),
-                           reg.counter("ckpt.engine.cache_misses"),
                            reg.counter("ckpt.engine.compactions"),
                            reg.counter("ckpt.engine.read_errors"),
                            reg.gauge("ckpt.engine.extents"),
@@ -302,7 +300,6 @@ void ChunkEngine::scan_extent_locked(std::uint32_t id) {
         old.live_stored -= std::min(old.live_stored, old_cost);
         old.dead_stored += old_cost;
         index_.erase(it);
-        cache_erase_locked(key);
       }
     } else {
       const auto tomb = tombs_.find(key);
@@ -348,16 +345,10 @@ void ChunkEngine::put(const ChunkKey& key, std::span<const std::byte> data) {
     m.dedup_hits.inc();
     return;
   }
-  std::uint8_t codec = kCodecRaw;
-  std::vector<std::byte> packed;
-  std::span<const std::byte> stored = data;
-  if (opts_.compress) {
-    packed = zero_rle_compress(data);
-    if (packed.size() < data.size()) {
-      codec = kCodecZeroRle;
-      stored = packed;
-    }
-  }
+  const std::vector<std::byte> packed = zero_rle_compress(data);
+  const bool rle = packed.size() < data.size();
+  const std::uint8_t codec = rle ? kCodecZeroRle : kCodecRaw;
+  const std::span<const std::byte> stored = rle ? packed : data;
   rotate_if_needed_locked();
   const std::uint64_t seq = next_seq_;
   const std::uint64_t offset = active_bytes_;
@@ -369,7 +360,6 @@ void ChunkEngine::put(const ChunkKey& key, std::span<const std::byte> data) {
   extents_[active_id_].live_stored +=
       kHeaderBytes + stored.size() + kTrailerBytes;
   tombs_.erase(k);
-  cache_insert_locked(k, std::vector<std::byte>(data.begin(), data.end()));
   m.puts.inc();
 }
 
@@ -385,11 +375,6 @@ std::optional<std::vector<std::byte>> ChunkEngine::read_locked(
   const KeyPair k{key.hi, key.lo};
   const auto it = index_.find(k);
   if (it == index_.end()) return std::nullopt;
-  if (auto cached = cache_get_locked(k)) {
-    m.cache_hits.inc();
-    return cached;
-  }
-  m.cache_misses.inc();
   const IndexEntry& e = it->second;
   const Extent& ext = extents_[e.extent_id];
   // Our own active extent may have unsynced bytes; the OS page cache
@@ -413,17 +398,15 @@ std::optional<std::vector<std::byte>> ChunkEngine::read_locked(
     return std::nullopt;
   }
   const auto payload = std::span(rec).subspan(kHeaderBytes, e.stored_len);
-  std::vector<std::byte> raw;
+  if (e.codec != kCodecZeroRle) {
+    return std::vector<std::byte>(payload.begin(), payload.end());
+  }
   try {
-    raw = e.codec == kCodecZeroRle
-              ? zero_rle_decompress(payload, e.raw_len)
-              : std::vector<std::byte>(payload.begin(), payload.end());
+    return zero_rle_decompress(payload, e.raw_len);
   } catch (const ImageError&) {
     m.read_errors.inc();
     return std::nullopt;
   }
-  cache_insert_locked(k, raw);
-  return raw;
 }
 
 void ChunkEngine::remove(const ChunkKey& key) {
@@ -446,7 +429,6 @@ void ChunkEngine::remove(const ChunkKey& key) {
   old.dead_stored += cost;
   index_.erase(it);
   tombs_[k] = TombInfo{seq, active_id_};
-  cache_erase_locked(k);
   EngineMetrics::get().tombstones.inc();
 }
 
@@ -477,8 +459,12 @@ CompactStats ChunkEngine::compact(bool force) {
   std::unordered_map<std::uint32_t, std::vector<KeyPair>> by_extent;
   for (const auto& [k, e] : index_) by_extent[e.extent_id].push_back(k);
   const std::uint32_t n = static_cast<std::uint32_t>(extents_.size());
+  // Rewrites append to the extent active now until it rotates, so it may
+  // hold records by_extent does not list: it is never a husk this pass.
+  const bool had_active = active_fd_ >= 0;
+  const std::uint32_t first_active = active_id_;
   for (std::uint32_t id = 0; id < n; ++id) {
-    if (id == active_id_ && active_fd_ >= 0) continue;
+    if (had_active && id == first_active) continue;
     // No reference into extents_ survives the rewrite loop below:
     // rotate_if_needed_locked() can grow the vector and reallocate.
     const fs::path ext_path = extents_[id].path;
@@ -488,7 +474,7 @@ CompactStats ChunkEngine::compact(bool force) {
     if (total == 0) continue;
     const double dead_ratio = static_cast<double>(extents_[id].dead_stored) /
                               static_cast<double>(total);
-    if (!force && dead_ratio < opts_.compact_min_dead_ratio) continue;
+    if (!force && dead_ratio < kCompactMinDeadRatio) continue;
     if (force && extents_[id].dead_stored == 0) continue;
     if (!extents_[id].own &&
         seconds_since_mtime(ext_path) < opts_.compact_min_idle_seconds) {
@@ -575,8 +561,6 @@ EngineStats ChunkEngine::stats() {
   s.live_chunks = index_.size();
   for (const auto& [k, e] : index_) s.live_raw_bytes += e.raw_len;
   auto& m = EngineMetrics::get();
-  s.cache_hits = m.cache_hits.value();
-  s.cache_misses = m.cache_misses.value();
   s.compactions = m.compactions.value();
   m.extents.set(static_cast<std::int64_t>(s.extents));
   m.live_chunks.set(static_cast<std::int64_t>(s.live_chunks));
@@ -595,37 +579,6 @@ std::optional<ChunkEngine::Location> ChunkEngine::locate(const ChunkKey& key) {
   const IndexEntry& e = it->second;
   return Location{extents_[e.extent_id].path, e.offset + kHeaderBytes,
                   e.stored_len};
-}
-
-void ChunkEngine::cache_insert_locked(const KeyPair& key,
-                                      std::vector<std::byte> data) {
-  if (opts_.cache_bytes == 0 || data.size() > opts_.cache_bytes) return;
-  cache_erase_locked(key);
-  cache_used_ += data.size();
-  cache_lru_.push_front(CacheSlot{key, std::move(data)});
-  cache_map_[key] = cache_lru_.begin();
-  while (cache_used_ > opts_.cache_bytes && !cache_lru_.empty()) {
-    const CacheSlot& victim = cache_lru_.back();
-    cache_used_ -= victim.data.size();
-    cache_map_.erase(victim.key);
-    cache_lru_.pop_back();
-  }
-}
-
-std::optional<std::vector<std::byte>> ChunkEngine::cache_get_locked(
-    const KeyPair& key) {
-  const auto it = cache_map_.find(key);
-  if (it == cache_map_.end()) return std::nullopt;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  return it->second->data;
-}
-
-void ChunkEngine::cache_erase_locked(const KeyPair& key) {
-  const auto it = cache_map_.find(key);
-  if (it == cache_map_.end()) return;
-  cache_used_ -= it->second->data.size();
-  cache_lru_.erase(it->second);
-  cache_map_.erase(it);
 }
 
 }  // namespace mojave::ckpt

@@ -5,9 +5,9 @@
 // chunk. This engine replaces it with the WiredTiger/Bitcask shape the
 // ROADMAP asks for: chunks are appended as checksummed records to large
 // *extent* files (~64 MiB), an in-memory index maps content key →
-// (extent, offset), reads go through an LRU block cache, deletions are
-// tombstone records, and compaction rewrites the live tail of
-// mostly-dead extents into fresh ones.
+// (extent, offset), every read is checksum-verified from the extent file,
+// deletions are tombstone records, and compaction rewrites the live tail
+// of mostly-dead extents into fresh ones.
 //
 // Record format inside an extent (little-endian, docs/CONTROL_PLANE.md
 // sibling of the WAL framing):
@@ -25,14 +25,13 @@
 // append-only and records self-framing, which makes cross-process reads
 // safe: a reader that misses in its index rescans grown/new extents from
 // its last offset (`refresh`), stopping at any partially-visible tail
-// record and retrying later. Optional compression is a dependency-free
-// zero-run RLE — checkpoint images carry large zeroed buffers, which is
-// exactly what it folds away.
+// record and retrying later. Every put tries a dependency-free zero-run
+// RLE and keeps it when it is smaller — checkpoint images carry large
+// zeroed buffers, which is exactly what it folds away.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,8 +53,6 @@ struct EngineStats {
   std::uint64_t live_stored_bytes = 0;  ///< bytes on disk for live records
   std::uint64_t dead_stored_bytes = 0;  ///< overwritten/tombstoned debris
   std::uint64_t extent_file_bytes = 0;  ///< total size of all extent files
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t compactions = 0;
 
   /// Fraction of extent bytes that are live (1.0 = no debris).
@@ -63,12 +60,6 @@ struct EngineStats {
     const std::uint64_t total = live_stored_bytes + dead_stored_bytes;
     return total == 0 ? 1.0
                       : static_cast<double>(live_stored_bytes) /
-                            static_cast<double>(total);
-  }
-  [[nodiscard]] double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
                             static_cast<double>(total);
   }
 };
@@ -84,13 +75,6 @@ class ChunkEngine {
   struct Options {
     /// Rotate the active extent once it exceeds this many bytes.
     std::uint64_t extent_target_bytes = 64ull << 20;
-    /// Block cache budget (raw chunk bytes). 0 disables the cache.
-    std::uint64_t cache_bytes = 64ull << 20;
-    /// Zero-run RLE compression for stored payloads (codec falls back to
-    /// raw per record when it does not help).
-    bool compress = true;
-    /// compact() rewrites an extent when its dead fraction exceeds this.
-    double compact_min_dead_ratio = 0.5;
     /// Never compact an extent modified more recently than this — it may
     /// be another process's active extent.
     double compact_min_idle_seconds = 2.0;
@@ -123,8 +107,8 @@ class ChunkEngine {
   /// chunks-before-manifest durability survives the engine).
   void flush();
 
-  /// Rewrite live records out of dead-heavy extents and delete the husks.
-  /// `force` compacts any extent with any dead bytes (CLI verb).
+  /// Rewrite live records out of extents at least half dead and delete
+  /// the husks. `force` compacts any extent with any dead bytes (CLI verb).
   CompactStats compact(bool force = false);
 
   [[nodiscard]] EngineStats stats();
@@ -177,10 +161,6 @@ class ChunkEngine {
   void scan_extent_locked(std::uint32_t id);
   [[nodiscard]] std::optional<std::vector<std::byte>> read_locked(
       const ChunkKey& key);
-  void cache_insert_locked(const KeyPair& key, std::vector<std::byte> data);
-  [[nodiscard]] std::optional<std::vector<std::byte>> cache_get_locked(
-      const KeyPair& key);
-  void cache_erase_locked(const KeyPair& key);
   [[nodiscard]] std::uint64_t record_cost(const IndexEntry& e) const;
 
   std::filesystem::path dir_;
@@ -206,16 +186,6 @@ class ChunkEngine {
   std::uint64_t active_nonce_ = 0;
   std::uint32_t active_count_ = 0;  ///< extents created by this instance
   bool dirty_ = false;
-
-  // LRU block cache: list front = most recent; map points into the list.
-  struct CacheSlot {
-    KeyPair key;
-    std::vector<std::byte> data;
-  };
-  std::list<CacheSlot> cache_lru_;
-  std::unordered_map<KeyPair, std::list<CacheSlot>::iterator, KeyHash>
-      cache_map_;
-  std::uint64_t cache_used_ = 0;
 };
 
 /// Zero-run RLE used by the engine's codec 1. Exposed for tests.

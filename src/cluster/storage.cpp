@@ -13,6 +13,14 @@ namespace mojave::cluster {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Age past which a *.tmp file is crash debris: no writer holds a temp
+/// file open this long.
+constexpr std::chrono::seconds kStaleTmpAge{60};
+
+}  // namespace
+
 SharedStorage::SharedStorage(fs::path root) : root_(std::move(root)) {
   fs::create_directories(root_);
 }
@@ -68,8 +76,6 @@ std::vector<std::string> SharedStorage::list(const std::string& subdir) const {
   std::error_code ec;
   if (!fs::is_directory(base, ec)) return names;
   const auto now = fs::file_time_type::clock::now();
-  const auto stale = std::chrono::duration_cast<fs::file_time_type::duration>(
-      std::chrono::duration<double>(stale_tmp_age_));
   for (fs::recursive_directory_iterator it(base, ec), end;
        !ec && it != end; it.increment(ec)) {
     if (!it->is_regular_file(ec)) continue;
@@ -80,7 +86,7 @@ std::vector<std::string> SharedStorage::list(const std::string& subdir) const {
       // resurrection daemon never tries to restore a torn name.
       std::error_code tec;
       const auto mtime = fs::last_write_time(p, tec);
-      if (!tec && now - mtime > stale) fs::remove(p, tec);
+      if (!tec && now - mtime > kStaleTmpAge) fs::remove(p, tec);
       continue;
     }
     names.push_back(p.lexically_relative(root_).generic_string());

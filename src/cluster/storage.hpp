@@ -40,17 +40,13 @@ class SharedStorage {
 
   /// Names (root-relative, '/'-separated, sorted) of every complete
   /// object under `subdir` ("" = whole store). In-flight temp files are
-  /// never listed; stale ones (older than the stale-temp age, i.e. left
-  /// by a crash between write and rename) are deleted as a side effect.
+  /// never listed; ones untouched for over a minute (left by a crash
+  /// between write and rename) are deleted as a side effect.
   [[nodiscard]] std::vector<std::string> list(
       const std::string& subdir = "") const;
 
-  /// Age (seconds) past which a *.tmp file is considered crash debris.
-  void set_stale_tmp_age(double seconds) { stale_tmp_age_ = seconds; }
-
  private:
   std::filesystem::path root_;
-  double stale_tmp_age_ = 60.0;
 };
 
 }  // namespace mojave::cluster

@@ -23,11 +23,10 @@
 
 namespace mojave {
 
+/// Every process an Engine runs, resumes or serves gets a Migrator, so
+/// the migrate()/checkpoint primitives work out of the box.
 struct EngineOptions {
   vm::ProcessConfig process;
-  /// Attach a Migrator to every process so the migrate()/checkpoint
-  /// primitives work out of the box.
-  bool enable_migration = true;
   /// Run the FIR optimizer (constant folding, copy propagation, DCE).
   bool optimize = true;
   /// Dump the FIR of every compiled program to this stream (diagnostics).

@@ -85,7 +85,8 @@ int usage() {
       "  --migrate-deadline S  overall deadline across all attempts\n"
       "  --connect-timeout S   TCP connect (and DNS resolve) deadline\n"
       "  --io-timeout S        per-syscall send/recv deadline\n"
-      "  --recv-timeout S      cluster msg_recv safety-net timeout\n"
+      "  --recv-timeout S      mojc cluster: msg_recv safety-net timeout it\n"
+      "                        sends every agent (default 30)\n"
       "  active values appear as config.* gauges in --stats\n";
   return 2;
 }
@@ -354,7 +355,6 @@ int cmd_node(const Flags& flags) {
   cfg.port = flags.port;
   cfg.storage_root = flags.storage;
   cfg.throttle_ms = flags.throttle_ms;
-  if (flags.recv_timeout_s) cfg.recv_timeout_seconds = *flags.recv_timeout_s;
   dnode::NodeAgent agent(cfg);
   // The ready line is the launch protocol: a parent (test harness or
   // operator script) reads the chosen port from stdout.
@@ -529,8 +529,6 @@ int cmd_ckpt(const Flags& flags) {
               << s.engine.extent_file_bytes << " bytes)\n"
               << "engine live chunks: " << s.engine.live_chunks << "\n"
               << "engine live ratio:  " << s.engine.live_ratio() << "\n"
-              << "engine cache hits:  " << s.engine.cache_hits << " ("
-              << s.engine.cache_hit_rate() << " hit rate)\n"
               << "engine compactions: " << s.engine.compactions << "\n";
     return 0;
   }

@@ -36,6 +36,25 @@ constexpr std::size_t kMaxStaleHeartbeatBytes = 64 * 1024;
 /// waits for the coordinator's POISON before reporting MSG_ROLL itself.
 constexpr double kJoinPoisonWaitSeconds = 0.05;
 
+/// Interval between heartbeats to the coordinator.
+constexpr double kHeartbeatSeconds = 0.05;
+
+/// msg_recv safety net until the coordinator's CONFIG names its own.
+constexpr double kDefaultRecvTimeoutSeconds = 30.0;
+
+/// How long a receive waits before re-requesting a missing message from
+/// the sender's replay log (and between repeat requests).
+constexpr double kReplayRequestSeconds = 0.1;
+
+/// Instructions a rank may run per scheduler slice before it is preempted
+/// back to the event loop.
+constexpr std::uint64_t kSliceInstructions = 20000;
+
+/// How long the agent keeps its ranks running after losing the
+/// coordinator connection, waiting for a standby to take over
+/// (docs/CONTROL_PLANE.md).
+constexpr double kCoordinatorGraceSeconds = 10.0;
+
 struct AgentMetrics {
   obs::Counter& launches;
   obs::Counter& resurrections;
@@ -319,6 +338,7 @@ NodeAgent::NodeAgent(AgentConfig cfg)
     : cfg_(std::move(cfg)),
       listener_(cfg_.bind, cfg_.port),
       retry_(net::RetryPolicy::process_defaults()),
+      recv_timeout_seconds_(kDefaultRecvTimeoutSeconds),
       store_(ckpt::CheckpointStore::open_shared(cfg_.storage_root,
                                                 cfg_.ckpt)) {
   listener_.set_nonblocking();
@@ -374,7 +394,7 @@ void NodeAgent::loop() {
   /// unserviced while ranks compute.
   constexpr int kSlicesPerTick = 256;
   std::vector<net::Poller::Event> events;
-  next_heartbeat_ = now_seconds() + cfg_.heartbeat_seconds;
+  next_heartbeat_ = now_seconds() + kHeartbeatSeconds;
   while (!stopping_.load()) {
     int timeout_ms = 50;
     if (sched_.has_runnable()) {
@@ -405,14 +425,14 @@ void NodeAgent::loop() {
     }
     const double now = now_seconds();
     if (coord_lost_at_ >= 0 && !coordinator_ &&
-        now - coord_lost_at_ >= cfg_.coordinator_grace_seconds) {
+        now - coord_lost_at_ >= kCoordinatorGraceSeconds) {
       MOJAVE_LOG(kInfo, "dnode")
           << "no coordinator takeover within grace period; shutting down";
       coord_lost_at_ = -1;
       request_shutdown();
     }
     if (now >= next_heartbeat_) {
-      next_heartbeat_ = now + cfg_.heartbeat_seconds;
+      next_heartbeat_ = now + kHeartbeatSeconds;
       if (coordinator_) {
         std::uint32_t live = 0;
         {
@@ -482,20 +502,12 @@ void NodeAgent::drop_conn(std::uint64_t token) {
   if (conn == coordinator_) {
     coordinator_.reset();
     if (!stopping_.load()) {
-      if (cfg_.coordinator_grace_seconds > 0) {
-        // HA mode: keep the ranks running and wait for a standby
-        // coordinator to acquire the lease and re-adopt us.
-        coord_lost_at_ = now_seconds();
-        MOJAVE_LOG(kWarn, "dnode")
-            << "coordinator connection lost; holding ranks "
-            << cfg_.coordinator_grace_seconds << "s for a takeover";
-      } else {
-        // Coordinator gone: nothing can place, poison, or collect us
-        // anymore.
-        MOJAVE_LOG(kInfo, "dnode")
-            << "coordinator connection lost; shutting down";
-        request_shutdown();
-      }
+      // Keep the ranks running and wait for a standby coordinator to
+      // acquire the lease and re-adopt us.
+      coord_lost_at_ = now_seconds();
+      MOJAVE_LOG(kWarn, "dnode")
+          << "coordinator connection lost; holding ranks "
+          << kCoordinatorGraceSeconds << "s for a takeover";
     }
   }
 }
@@ -664,7 +676,7 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
       agents_ = m.agents;
       max_instructions_ = m.max_instructions;
       if (m.recv_timeout_seconds > 0) {
-        cfg_.recv_timeout_seconds = m.recv_timeout_seconds;
+        recv_timeout_seconds_ = m.recv_timeout_seconds;
       }
       placement_.assign(num_ranks_, Placement{});
       break;
@@ -996,9 +1008,9 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
               src, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
           if (!slot.recv.active || slot.recv.key != wkey) {
             slot.recv = RankSlot::RecvWait{
-                true, wkey, now, now + cfg_.replay_request_seconds};
+                true, wkey, now, now + kReplayRequestSeconds};
           }
-          if (now - slot.recv.start >= cfg_.recv_timeout_seconds) {
+          if (now - slot.recv.start >= recv_timeout_seconds_) {
             slot.recv.active = false;
             MOJAVE_LOG(kDebug, "dnode") << "rank " << rank
                                         << " recv timeout from " << src
@@ -1009,12 +1021,12 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
             // The message may have been lost with a dead agent or our own
             // previous incarnation's mailbox — re-request it from the
             // sender's replay log.
-            slot.recv.next_replay = now + cfg_.replay_request_seconds;
+            slot.recv.next_replay = now + kReplayRequestSeconds;
             request_replay(src, rank, tag);
           }
           const double deadline =
               std::min(slot.recv.next_replay,
-                       slot.recv.start + cfg_.recv_timeout_seconds);
+                       slot.recv.start + recv_timeout_seconds_);
           slot.pending_wait_key = wkey;
           throw vm::WouldBlock{deadline};
         }
@@ -1147,7 +1159,7 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
 RankScheduler::Step NodeAgent::step_rank(RankSlot& slot) {
   vm::SliceResult r;
   try {
-    r = slot.process->vm().run_slice(cfg_.slice_instructions);
+    r = slot.process->vm().run_slice(kSliceInstructions);
   } catch (const AgentStopping&) {
     finish_rank(slot, 2, 0, "stopped");
     return RankScheduler::Step{RankScheduler::Step::Kind::kDone, 0, 0};
@@ -1224,7 +1236,6 @@ void NodeAgent::launch_rank(std::uint32_t rank, std::vector<std::byte> image) {
   try {
     fir::Program prog = fir::decode_program(image);
     vm::ProcessConfig pcfg;
-    pcfg.heap = cfg_.heap;
     pcfg.max_instructions = max_instructions_;
     sp->process = std::make_unique<vm::Process>(std::move(prog), pcfg);
     register_externals(*sp->process, *sp);
@@ -1265,7 +1276,6 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t commit_seq) {
       return;
     }
     vm::ProcessConfig pcfg;
-    pcfg.heap = cfg_.heap;
     pcfg.max_instructions = max_instructions_;
     migrate::UnpackResult unpacked = migrate::unpack_process(*image, pcfg);
     // The previous incarnation's sender replay log, persisted at its last

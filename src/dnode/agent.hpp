@@ -76,21 +76,6 @@ struct AgentConfig {
   std::filesystem::path storage_root;
   /// Deliberate slowdown per send (ms) + load inflation in heartbeats.
   double throttle_ms = 0;
-  double heartbeat_seconds = 0.05;
-  /// msg_recv safety net (overridden by the coordinator's CONFIG).
-  double recv_timeout_seconds = 30.0;
-  /// How long a receive waits before re-requesting a missing message from
-  /// the sender's replay log (and between repeat requests).
-  double replay_request_seconds = 0.1;
-  /// Instructions a rank may run per scheduler slice before it is
-  /// preempted back to the event loop.
-  std::uint64_t slice_instructions = 20000;
-  /// How long the agent keeps its ranks running after losing the
-  /// coordinator connection, waiting for a standby to take over
-  /// (docs/CONTROL_PLANE.md). 0 = shut down immediately (the pre-HA
-  /// behavior).
-  double coordinator_grace_seconds = 10.0;
-  runtime::HeapConfig heap;
   ckpt::CheckpointStore::Options ckpt;
 };
 
@@ -180,6 +165,8 @@ class NodeAgent {
   AgentConfig cfg_;
   net::TcpListener listener_;
   net::RetryPolicy retry_;
+  /// msg_recv safety net; the coordinator's CONFIG sets it.
+  double recv_timeout_seconds_;
   std::shared_ptr<ckpt::CheckpointStore> store_;
   Stopwatch clock_;  ///< the time base for every gate/deadline
 
@@ -194,7 +181,7 @@ class NodeAgent {
   /// is a fenced zombie primary and is rejected.
   std::uint64_t coord_epoch_ = 0;
   /// When the control connection died (-1 = connected). The agent keeps
-  /// running for coordinator_grace_seconds awaiting a takeover.
+  /// running for a grace period awaiting a takeover.
   double coord_lost_at_ = -1;
   /// Coordinator-bound frames buffered while disconnected, flushed to the
   /// adopting coordinator (bounded; oldest dropped first).

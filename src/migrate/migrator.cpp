@@ -217,18 +217,6 @@ std::vector<std::byte> Migrator::read_image_file(
   return bytes;
 }
 
-ResurrectResult resurrect_from_file(const std::filesystem::path& path,
-                                    const ResurrectOptions& options) {
-  const auto bytes = Migrator::read_image_file(path);
-  UnpackResult unpacked = unpack_process(bytes, options.cfg);
-  ResurrectResult result;
-  result.breakdown = unpacked.breakdown;
-  if (options.prepare) options.prepare(*unpacked.process);
-  result.run = unpacked.process->resume(unpacked.resume_fun,
-                                        std::move(unpacked.resume_args));
-  return result;
-}
-
 std::vector<std::byte> read_checkpoint_uri(const std::string& uri) {
   if (uri.find("://") == std::string::npos) {
     return Migrator::read_image_file(uri);  // plain file path

@@ -103,8 +103,7 @@ class Migrator final : public vm::MigrationHook {
   std::vector<Event> events_;
 };
 
-/// Convenience for hosts: reconstruct and resume a process from a
-/// checkpoint/suspend file, returning its final result.
+/// Options for resurrect_from_uri.
 struct ResurrectOptions {
   vm::ProcessConfig cfg;
   /// Called after unpack, before resume — the place to register host
@@ -117,9 +116,6 @@ struct ResurrectResult {
   UnpackBreakdown breakdown;
 };
 
-ResurrectResult resurrect_from_file(const std::filesystem::path& path,
-                                    const ResurrectOptions& options = {});
-
 /// Load a checkpoint image from any checkpoint designator: a plain file
 /// path, a `checkpoint://` / `suspend://` target, or a `ckpt://root/name`
 /// chunk-store URI (restored with integrity verification and manifest
@@ -127,7 +123,9 @@ ResurrectResult resurrect_from_file(const std::filesystem::path& path,
 [[nodiscard]] std::vector<std::byte> read_checkpoint_uri(
     const std::string& uri);
 
-/// resurrect_from_file generalized over read_checkpoint_uri.
+/// Convenience for hosts: reconstruct and resume a process from any
+/// checkpoint designator read_checkpoint_uri accepts, returning its final
+/// result.
 ResurrectResult resurrect_from_uri(const std::string& uri,
                                    const ResurrectOptions& options = {});
 

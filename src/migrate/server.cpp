@@ -10,6 +10,10 @@ namespace mojave::migrate {
 
 namespace {
 
+/// Per-syscall deadline on inbound connections, so a stalled client cannot
+/// pin a worker thread forever.
+constexpr double kIoTimeoutSeconds = 30.0;
+
 struct ServerMetrics {
   obs::Counter& received;
   obs::Counter& failed;
@@ -54,19 +58,25 @@ void MigrationServer::stop() {
   if (stopping_.exchange(true)) return;
   listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  for (Worker& w : workers_) w.thread.join();
+  workers_.clear();
 }
 
 void MigrationServer::accept_loop() {
   while (!stopping_.load()) {
     auto stream = listener_.accept();
     if (!stream.has_value()) break;
-    std::lock_guard<std::mutex> lock(mu_);
-    workers_.emplace_back(
-        [this, s = std::make_shared<net::TcpStream>(std::move(*stream))]() mutable {
+    // A finished connection's thread still holds its stack until joined.
+    std::erase_if(workers_, [](Worker& w) {
+      if (!w.done.load()) return false;
+      w.thread.join();
+      return true;
+    });
+    Worker& w = workers_.emplace_back();
+    w.thread = std::thread(
+        [this, &w, s = std::make_shared<net::TcpStream>(std::move(*stream))] {
           handle(std::move(*s));
+          w.done.store(true);
         });
   }
 }
@@ -107,7 +117,7 @@ void MigrationServer::release_id(std::uint64_t id) {
 }
 
 void MigrationServer::handle(net::TcpStream stream) {
-  stream.set_io_deadline(options_.io_timeout_seconds);
+  stream.set_io_deadline(kIoTimeoutSeconds);
   Completed record;
   bool v2 = false;
   std::uint64_t migration_id = 0;

@@ -23,6 +23,7 @@
 #include <deque>
 #include <filesystem>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -59,9 +60,6 @@ class MigrationServer {
     /// Called after unpack, before resume: register host externals,
     /// attach a Migrator for onward migration, etc.
     std::function<void(vm::Process&)> prepare;
-    /// Per-syscall deadline on inbound connections so a stalled client
-    /// cannot pin a worker thread forever. <= 0 disables.
-    double io_timeout_seconds = 30.0;
   };
 
   /// Committed migration ids remembered for duplicate suppression.
@@ -120,10 +118,18 @@ class MigrationServer {
   void commit_id(std::uint64_t id);
   void release_id(std::uint64_t id);
 
+  /// One connection's thread; `done` is set as its last act.
+  struct Worker {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   Options options_;
   net::TcpListener listener_;
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
+  /// Owned by the accept thread, which joins finished workers before it
+  /// starts the next; stop() joins the rest after the accept thread.
+  std::list<Worker> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Completed> completed_;

@@ -3,6 +3,7 @@
 // hygiene, and the ckpt:// protocol end-to-end through the Migrator.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <thread>
 
 #include "ckpt/chunker.hpp"
+#include "ckpt/engine.hpp"
 #include "ckpt/store.hpp"
 #include "cluster/storage.hpp"
 #include "fir/builder.hpp"
@@ -44,21 +46,8 @@ fs::path fresh_dir(const std::string& name) {
 
 // ---------------------------------------------------------------- chunker
 
-TEST(Chunker, FixedModeSlicesAtTargetSize) {
-  ckpt::ChunkerConfig cfg;
-  cfg.mode = ckpt::ChunkerConfig::Mode::kFixed;
-  cfg.target_bytes = 1024;
-  const auto data = random_bytes(10 * 1024 + 17, 1);
-  const auto chunks = ckpt::chunk_image(data, cfg).chunks;
-  ASSERT_EQ(chunks.size(), 11u);
-  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].bytes.size(), 1024u);
-  }
-  EXPECT_EQ(chunks.back().bytes.size(), 17u);
-}
-
 TEST(Chunker, ContentDefinedRespectsBoundsAndReassembles) {
-  ckpt::ChunkerConfig cfg;  // content-defined defaults
+  ckpt::ChunkerConfig cfg;
   const auto data = random_bytes(200 * 1024, 2);
   const auto chunks = ckpt::chunk_image(data, cfg).chunks;
   ASSERT_GT(chunks.size(), 1u);
@@ -128,12 +117,6 @@ TEST(Chunker, RejectsBadConfig) {
 std::vector<std::size_t> reference_cut_lengths(std::span<const std::byte> data,
                                                const ckpt::ChunkerConfig& cfg) {
   std::vector<std::size_t> lens;
-  if (cfg.mode == ckpt::ChunkerConfig::Mode::kFixed) {
-    for (std::size_t off = 0; off < data.size(); off += cfg.target_bytes) {
-      lens.push_back(std::min(cfg.target_bytes, data.size() - off));
-    }
-    return lens;
-  }
   // The gear table: splitmix64 over the byte value, as the chunker's.
   std::uint64_t gear[256];
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
@@ -205,39 +188,156 @@ std::vector<std::byte> image_cut_at_min(const ckpt::ChunkerConfig& cfg) {
 }
 
 TEST(Chunker, FusedPassMatchesSeparatePasses) {
-  for (const auto mode : {ckpt::ChunkerConfig::Mode::kContentDefined,
-                          ckpt::ChunkerConfig::Mode::kFixed}) {
-    ckpt::ChunkerConfig cfg;
-    cfg.mode = mode;
-    const std::size_t m = cfg.max_bytes;
-    std::uint64_t seed = 40;
-    for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, cfg.min_bytes - 1, cfg.min_bytes,
-          cfg.min_bytes + 1, cfg.target_bytes, m, m + 1, 3 * m, 7 * m + 5,
-          std::size_t{200 * 1024}}) {
-      SCOPED_TRACE(testing::Message()
-                   << "mode " << static_cast<int>(mode) << " size " << n);
-      expect_matches_reference(random_bytes(n, ++seed), cfg);
-    }
-    // An all-zero image never matches the cut mask: every CDC cut is
-    // forced at max_bytes.
-    SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
-                                    << " all zero");
-    const std::vector<std::byte> zeros(5 * m + 300);
-    expect_matches_reference(zeros, cfg);
-    if (mode == ckpt::ChunkerConfig::Mode::kContentDefined) {
-      const auto chunks = ckpt::chunk_image(zeros, cfg).chunks;
-      ASSERT_EQ(chunks.size(), 6u);
-      for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
-        EXPECT_EQ(chunks[i].bytes.size(), m);
-      }
-      const auto at_min = image_cut_at_min(cfg);
-      ASSERT_FALSE(at_min.empty());
-      expect_matches_reference(at_min, cfg);
-      EXPECT_EQ(ckpt::chunk_image(at_min, cfg).chunks.front().bytes.size(),
-                cfg.min_bytes);
+  const ckpt::ChunkerConfig cfg;
+  const std::size_t m = cfg.max_bytes;
+  std::uint64_t seed = 40;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, cfg.min_bytes - 1, cfg.min_bytes,
+        cfg.min_bytes + 1, cfg.target_bytes, m, m + 1, 3 * m, 7 * m + 5,
+        std::size_t{200 * 1024}}) {
+    SCOPED_TRACE(testing::Message() << "size " << n);
+    expect_matches_reference(random_bytes(n, ++seed), cfg);
+  }
+  // An all-zero image never matches the cut mask: every cut is forced at
+  // max_bytes.
+  SCOPED_TRACE("all zero");
+  const std::vector<std::byte> zeros(5 * m + 300);
+  expect_matches_reference(zeros, cfg);
+  const auto chunks = ckpt::chunk_image(zeros, cfg).chunks;
+  ASSERT_EQ(chunks.size(), 6u);
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].bytes.size(), m);
+  }
+  const auto at_min = image_cut_at_min(cfg);
+  ASSERT_FALSE(at_min.empty());
+  expect_matches_reference(at_min, cfg);
+  EXPECT_EQ(ckpt::chunk_image(at_min, cfg).chunks.front().bytes.size(),
+            cfg.min_bytes);
+}
+
+// ----------------------------------------------------------------- engine
+
+std::vector<std::byte> bytes_of(std::initializer_list<int> values) {
+  std::vector<std::byte> out;
+  for (const int v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
+TEST(ChunkEngine, ZeroRleRoundTrips) {
+  const auto round_trip = [](const std::vector<std::byte>& raw) {
+    const auto packed = ckpt::zero_rle_compress(raw);
+    EXPECT_EQ(ckpt::zero_rle_decompress(
+                  packed, static_cast<std::uint32_t>(raw.size())),
+              raw);
+    return packed;
+  };
+  EXPECT_TRUE(round_trip({}).empty());
+
+  const std::vector<std::byte> zeros(4096);
+  EXPECT_LT(round_trip(zeros).size(), 16u);  // one run token
+
+  auto no_zeros = random_bytes(3000, 30);
+  for (auto& b : no_zeros) b |= std::byte{0x01};
+  EXPECT_EQ(round_trip(no_zeros).size(), no_zeros.size() + 5);  // one literal
+
+  // kMinRun is 16: a shorter zero run rides inside the literal, a run of
+  // 16 or more becomes its own token and splits the literal in two.
+  for (const std::size_t run : {15u, 16u, 17u}) {
+    SCOPED_TRACE(testing::Message() << "zero run " << run);
+    auto img = bytes_of({7, 7, 7});
+    img.insert(img.end(), run, std::byte{0});
+    img.push_back(std::byte{9});
+    const auto packed = round_trip(img);
+    if (run < 16) {
+      EXPECT_EQ(packed.size(), 5 + img.size());
+    } else {
+      EXPECT_EQ(packed.size(), (5 + 3) + 5 + (5 + 1));
     }
   }
+}
+
+TEST(ChunkEngine, ZeroRleRejectsMalformedStreams) {
+  // Tokens are u8 kind (0 zero run, 1 literal) | u32 little-endian length.
+  EXPECT_THROW((void)ckpt::zero_rle_decompress(bytes_of({2, 1, 0, 0, 0}), 1),
+               ImageError);  // bad token
+  EXPECT_THROW((void)ckpt::zero_rle_decompress(bytes_of({0, 10, 0, 0, 0}), 5),
+               ImageError);  // overrun
+  EXPECT_THROW((void)ckpt::zero_rle_decompress(bytes_of({0, 3, 0, 0, 0}), 5),
+               ImageError);  // short decode
+}
+
+/// Chunk `i` of the engine tests: alternately zero-heavy (stored with the
+/// RLE codec) and random (stored raw).
+std::vector<std::byte> engine_chunk(std::uint64_t i) {
+  if (i % 2 == 0) return random_bytes(300 + i, 900 + i);
+  std::vector<std::byte> data(700 + i);
+  std::memcpy(data.data(), &i, sizeof(i));
+  return data;
+}
+
+TEST(ChunkEngine, CompactedExtentsReopenBitIdentical) {
+  const auto dir = fresh_dir("mj_engine_compact_reopen");
+  constexpr std::uint64_t kChunks = 64;
+  {
+    ckpt::ChunkEngine::Options opts;
+    opts.extent_target_bytes = 4096;  // many extents, so compaction runs
+    ckpt::ChunkEngine engine(dir, opts);
+    for (std::uint64_t i = 0; i < kChunks; ++i) {
+      const auto data = engine_chunk(i);
+      engine.put(ckpt::ChunkKey::of(data), data);
+    }
+    for (std::uint64_t i = 0; i < kChunks; i += 2) {
+      engine.remove(ckpt::ChunkKey::of(engine_chunk(i)));
+    }
+    const auto compacted = engine.compact(true);
+    EXPECT_GT(compacted.extents_compacted, 0u);
+    EXPECT_GT(compacted.bytes_reclaimed, 0u);
+  }
+
+  ckpt::ChunkEngine reopened(dir);
+  EXPECT_EQ(reopened.live_chunks().size(), kChunks / 2);
+  for (std::uint64_t i = 0; i < kChunks; ++i) {
+    SCOPED_TRACE(testing::Message() << "chunk " << i);
+    const auto data = engine_chunk(i);
+    const auto key = ckpt::ChunkKey::of(data);
+    if (i % 2 == 0) {
+      EXPECT_FALSE(reopened.exists(key));
+      EXPECT_FALSE(reopened.read(key).has_value());
+    } else {
+      const auto back = reopened.read(key);
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(*back, data);
+    }
+  }
+}
+
+TEST(ChunkEngine, SecondEngineSeesPutsAndTombstones) {
+  // Two engines on one directory, as two agent processes sharing a
+  // checkpoint store have: a miss rescans the other engine's extent.
+  const auto dir = fresh_dir("mj_engine_two_writers");
+  ckpt::ChunkEngine writer(dir);
+  ckpt::ChunkEngine reader(dir);
+  const auto d1 = engine_chunk(1), d2 = engine_chunk(2), d3 = engine_chunk(3);
+  const auto k1 = ckpt::ChunkKey::of(d1), k2 = ckpt::ChunkKey::of(d2),
+             k3 = ckpt::ChunkKey::of(d3);
+
+  writer.put(k1, d1);
+  writer.put(k2, d2);
+  EXPECT_TRUE(reader.exists(k1));
+  EXPECT_EQ(reader.read(k2), d2);
+
+  // The tombstone reaches the reader with the next rescan, which a miss
+  // on the newly put k3 triggers.
+  writer.remove(k1);
+  writer.put(k3, d3);
+  EXPECT_EQ(reader.read(k3), d3);
+  EXPECT_FALSE(reader.exists(k1));
+  EXPECT_FALSE(reader.read(k1).has_value());
+
+  // A put after the tombstone brings the key back.
+  writer.put(k1, d1);
+  EXPECT_TRUE(reader.exists(k1));
+  EXPECT_EQ(reader.read(k1), d1);
 }
 
 // --------------------------------------------------------------- manifest
@@ -330,46 +430,39 @@ TEST(CheckpointStore, DedupesAcrossSnapshots) {
   EXPECT_GE(store.stats().dedup_ratio(), 1.9);
 }
 
-TEST(CheckpointStore, CorruptChunkFallsBackToPreviousManifest) {
-  ckpt::CheckpointStore::Options opts;
-  opts.auto_gc = false;
-  const auto root = fresh_dir("mj_ckpt_corrupt_chunk");
-  const auto v1 = random_bytes(64 * 1024, 14);
-  auto v2 = v1;
-  for (std::size_t i = 0; i < 4096; ++i) v2[20 * 1024 + i] = std::byte{0xab};
-
-  // Flip payload bytes of a chunk only the newest checkpoint references,
-  // in place inside its extent file.
-  {
-    ckpt::CheckpointStore store(root, opts);
-    (void)store.put("a", v1);
-    (void)store.put("a", v2);
-    const auto manifests = store.manifests("a");
-    ASSERT_EQ(manifests.size(), 2u);
-    std::set<std::string> old_keys;
-    for (const auto& e : manifests[0].chunks) old_keys.insert(e.key.hex());
-    std::optional<ckpt::ChunkKey> fresh_key;
-    for (const auto& e : manifests[1].chunks) {
-      if (old_keys.count(e.key.hex()) == 0) fresh_key = e.key;
-    }
-    ASSERT_TRUE(fresh_key.has_value());
-    const auto loc = store.engine().locate(*fresh_key);
-    ASSERT_TRUE(loc.has_value());
-    ASSERT_GT(loc->stored_len, 0u);
-    std::fstream ext(loc->extent,
-                     std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(ext.good());
-    ext.seekp(static_cast<std::streamoff>(loc->payload_offset));
-    const char junk[] = "junk";
-    ext.write(junk, std::min<std::streamsize>(
-                        4, static_cast<std::streamsize>(loc->stored_len)));
-    ASSERT_TRUE(ext.good());
+/// Put `v1` then `v2` as snapshot "a", and flip payload bytes of a chunk
+/// only the newest checkpoint references, in place inside its extent file.
+void put_two_and_corrupt_the_newest(ckpt::CheckpointStore& store,
+                                    const std::vector<std::byte>& v1,
+                                    const std::vector<std::byte>& v2) {
+  (void)store.put("a", v1);
+  (void)store.put("a", v2);
+  const auto manifests = store.manifests("a");
+  ASSERT_EQ(manifests.size(), 2u);
+  std::set<std::string> old_keys;
+  for (const auto& e : manifests[0].chunks) old_keys.insert(e.key.hex());
+  std::optional<ckpt::ChunkKey> fresh_key;
+  for (const auto& e : manifests[1].chunks) {
+    if (old_keys.count(e.key.hex()) == 0) fresh_key = e.key;
   }
+  ASSERT_TRUE(fresh_key.has_value());
+  const auto loc = store.engine().locate(*fresh_key);
+  ASSERT_TRUE(loc.has_value());
+  ASSERT_GT(loc->stored_len, 0u);
+  std::fstream ext(loc->extent,
+                   std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(ext.good());
+  ext.seekp(static_cast<std::streamoff>(loc->payload_offset));
+  const char junk[] = "junk";
+  ext.write(junk, std::min<std::streamsize>(
+                      4, static_cast<std::streamsize>(loc->stored_len)));
+  ASSERT_TRUE(ext.good());
+}
 
-  // A fresh store (cold cache, index rebuilt from the extents) must not
-  // surface v2 (or garbage): restore falls back to the previous complete
-  // checkpoint.
-  ckpt::CheckpointStore store(root, opts);
+/// Restore must not surface v2 (or garbage): it falls back to the
+/// previous complete checkpoint, and verify() sees the same corruption.
+void expect_falls_back_to_v1(const ckpt::CheckpointStore& store,
+                             const std::vector<std::byte>& v1) {
   ckpt::RestoreStats rs;
   const auto back = store.restore("a", &rs);
   ASSERT_TRUE(back.has_value());
@@ -377,10 +470,41 @@ TEST(CheckpointStore, CorruptChunkFallsBackToPreviousManifest) {
   EXPECT_EQ(rs.seq, 1u);
   EXPECT_EQ(rs.manifests_skipped, 1u);
 
-  // verify() sees the same corruption.
   const auto report = store.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_GE(report.chunks_corrupt, 1u);
+}
+
+std::pair<std::vector<std::byte>, std::vector<std::byte>> two_versions() {
+  auto v1 = random_bytes(64 * 1024, 14);
+  auto v2 = v1;
+  for (std::size_t i = 0; i < 4096; ++i) v2[20 * 1024 + i] = std::byte{0xab};
+  return {std::move(v1), std::move(v2)};
+}
+
+TEST(CheckpointStore, CorruptChunkFallsBackToPreviousManifest) {
+  ckpt::CheckpointStore::Options opts;
+  opts.auto_gc = false;
+  const auto root = fresh_dir("mj_ckpt_corrupt_chunk");
+  const auto [v1, v2] = two_versions();
+  {
+    ckpt::CheckpointStore store(root, opts);
+    put_two_and_corrupt_the_newest(store, v1, v2);
+  }
+  // A fresh store rebuilds its index from the extents.
+  const ckpt::CheckpointStore store(root, opts);
+  expect_falls_back_to_v1(store, v1);
+}
+
+TEST(CheckpointStore, WritingInstanceSeesCorruptChunkOnDisk) {
+  // The store that wrote the chunk reads it back from the extent file,
+  // not from memory, so it sees the corruption too.
+  ckpt::CheckpointStore::Options opts;
+  opts.auto_gc = false;
+  ckpt::CheckpointStore store(fresh_dir("mj_ckpt_corrupt_same_store"), opts);
+  const auto [v1, v2] = two_versions();
+  put_two_and_corrupt_the_newest(store, v1, v2);
+  expect_falls_back_to_v1(store, v1);
 }
 
 TEST(CheckpointStore, CorruptOrMissingEverythingMeansNoRestore) {
@@ -536,7 +660,8 @@ TEST(SharedStorage, ListHidesInFlightAndSweepsStaleTempFiles) {
   EXPECT_TRUE(fs::exists(dir / "sub" / "inflight.obj.1234.5.tmp"));
 
   // …until it is old enough to be crash debris, then list() sweeps it.
-  storage.set_stale_tmp_age(0.0);
+  fs::last_write_time(dir / "sub" / "inflight.obj.1234.5.tmp",
+                      fs::file_time_type::clock::now() - std::chrono::minutes(2));
   names = storage.list("sub");
   EXPECT_EQ(names, std::vector<std::string>{"sub/real.obj"});
   EXPECT_FALSE(fs::exists(dir / "sub" / "inflight.obj.1234.5.tmp"));

@@ -437,8 +437,6 @@ TEST(DnodeCluster, DenseRanksSurviveThrottledReorderingWire) {
 
   dnode::AgentConfig acfg;
   acfg.storage_root = storage;
-  acfg.heap.young_capacity = 64 * 1024;  // 32 co-hosted heaps
-  acfg.heap.old_capacity = 1024 * 1024;
   dnode::NodeAgent a0(acfg), a1(acfg);
 
   net::WireFaults faults;

@@ -167,8 +167,8 @@ TEST_P(MigrateEquivalence, ResumedRunMatchesUninterruptedRun) {
   ASSERT_TRUE(fs::exists(ckpt));
 
   // Resume the image: phase 2 recomputes from the checkpointed state.
-  const auto resumed = migrate::resurrect_from_file(
-      ckpt, {.cfg = {}, .prepare = [](vm::Process& proc) {
+  const auto resumed = migrate::resurrect_from_uri(
+      ckpt.string(), {.cfg = {}, .prepare = [](vm::Process& proc) {
                proc.adopt_hook(std::make_unique<migrate::Migrator>(proc));
              }});
   ASSERT_EQ(resumed.run.kind, vm::RunResult::Kind::kHalted);

@@ -1,8 +1,11 @@
 // Migration tests: pack/unpack round trips, the three protocols, the
 // migration server, and safety rejection of corrupt/forged images.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "fir/builder.hpp"
 #include "migrate/image.hpp"
@@ -121,8 +124,8 @@ TEST(Migrate, CheckpointProtocolContinuesAndFileResumes) {
   // Resurrect from the *last* checkpoint (i = 9 was the last multiple of
   // 4 + ... the last checkpoint happened at i=8, resuming from i=9).
   // The resumed process re-checkpoints and then finishes with the same sum.
-  auto res = migrate::resurrect_from_file(
-      file, {.cfg = {}, .prepare = [](vm::Process& proc) {
+  auto res = migrate::resurrect_from_uri(
+      file.string(), {.cfg = {}, .prepare = [](vm::Process& proc) {
                proc.adopt_hook(std::make_unique<migrate::Migrator>(proc));
              }});
   EXPECT_EQ(res.run.kind, vm::RunResult::Kind::kHalted);
@@ -243,6 +246,59 @@ TEST(Migrate, TcpMigrationChainsToCompletion) {
     }
   }
   EXPECT_EQ(final_code, kSum1To10);
+}
+
+/// This process's virtual size in bytes, from /proc/self/status.
+std::uint64_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoull(line.substr(7)) * 1024;  // reported in kB
+    }
+  }
+  return 0;
+}
+
+TEST(Migrate, ServerJoinsFinishedConnectionThreads) {
+  // A long-running server must not keep one finished thread's stack per
+  // inbound migration until stop(). Small heaps keep the freed arenas an
+  // allocator may hold on to (ASan's quarantine does) out of the measure.
+  vm::ProcessConfig cfg;
+  cfg.heap.young_capacity = 16 * 1024;
+  cfg.heap.old_capacity = 64 * 1024;
+  migrate::MigrationServer::Options opts;
+  opts.cfg = cfg;
+  migrate::MigrationServer server(std::move(opts));
+  const std::string target =
+      "migrate://127.0.0.1:" + std::to_string(server.port());
+  std::size_t migrations = 0;
+  const auto migrate_once = [&] {
+    // interval 7: one hop at i=7, then the copy halts on the server.
+    vm::Process p(make_counter_program(target, 7), cfg);
+    migrate::Migrator mig(p);
+    ASSERT_EQ(p.run().kind, vm::RunResult::Kind::kMigratedAway);
+    const auto completed = server.wait_for(++migrations);
+    ASSERT_TRUE(completed.back().error.empty()) << completed.back().error;
+  };
+  // Warm up allocator arenas and the thread-stack cache first.
+  for (int i = 0; i < 4; ++i) migrate_once();
+  const std::uint64_t before = vm_size_bytes();
+  ASSERT_GT(before, 0u);
+
+  constexpr int kMigrations = 64;
+  for (int i = 0; i < kMigrations; ++i) migrate_once();
+  const std::uint64_t after = vm_size_bytes();
+  const std::uint64_t grown = after > before ? after - before : 0;
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  EXPECT_LT(grown, kMigrations * stack_bytes / 4)
+      << "VmSize grew " << grown << " bytes over " << kMigrations
+      << " migrations; one retained stack is " << stack_bytes << " bytes";
 }
 
 TEST(Migrate, RefusesActiveSpeculation) {

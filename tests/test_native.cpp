@@ -808,7 +808,7 @@ TEST(NativeMigrate, HotProcessCheckpointsAndResumesOnEitherTier) {
     opts.prepare = [](vm::Process& proc) {
       proc.adopt_hook(std::make_unique<migrate::Migrator>(proc));
     };
-    auto res = migrate::resurrect_from_file(file, opts);
+    auto res = migrate::resurrect_from_uri(file.string(), opts);
     EXPECT_EQ(res.run.kind, vm::RunResult::Kind::kHalted);
     EXPECT_EQ(res.run.exit_code, kSum);
   }
@@ -819,7 +819,7 @@ TEST(NativeMigrate, HotProcessCheckpointsAndResumesOnEitherTier) {
     opts.prepare = [](vm::Process& proc) {
       proc.adopt_hook(std::make_unique<migrate::Migrator>(proc));
     };
-    auto res = migrate::resurrect_from_file(file, opts);
+    auto res = migrate::resurrect_from_uri(file.string(), opts);
     EXPECT_EQ(res.run.kind, vm::RunResult::Kind::kHalted);
     EXPECT_EQ(res.run.exit_code, kSum);
   }

@@ -250,6 +250,12 @@ TEST(WireChaosTest, CleanProxyRelaysBothDirections) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, bytes_of("ping"));
   client.close();
+  // The relay thread counts a chunk after sending it, so the echo can
+  // reach the client before its bytes are counted.
+  const Stopwatch sw;
+  while (proxy.stats().bytes_forwarded < 2u * (4u + 4u) && sw.seconds() < 2.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(proxy.stats().bytes_forwarded, 2u * (4u + 4u));
 }
 
