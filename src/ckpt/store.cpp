@@ -152,12 +152,10 @@ void CheckpointStore::validate_snapshot_name(const std::string& name) {
 
 CheckpointStore::CheckpointStore(fs::path root, Options opts)
     : opts_(opts), storage_(std::move(root)) {
-  opts_.chunker.validate();
   if (opts_.keep_manifests == 0) {
     throw Error("ckpt: keep_manifests must be >= 1");
   }
-  engine_ = std::make_unique<ChunkEngine>(storage_.root() / kExtentDir,
-                                          opts_.engine);
+  engine_ = std::make_unique<ChunkEngine>(storage_.root() / kExtentDir);
 }
 
 std::shared_ptr<CheckpointStore> CheckpointStore::open_shared(
@@ -227,7 +225,7 @@ PutStats CheckpointStore::put(const std::string& snapshot,
   stats.first_snapshot = existing.empty();
   stats.seq = existing.empty() ? 1 : existing.back().seq + 1;
 
-  const ChunkedImage chunked = chunk_image(image, opts_.chunker);
+  const ChunkedImage chunked = chunk_image(image, ChunkerConfig{});
   Manifest man;
   man.snapshot = snapshot;
   man.seq = stats.seq;

@@ -127,15 +127,12 @@ struct StoreStats {
 class CheckpointStore {
  public:
   struct Options {
-    ChunkerConfig chunker;
     /// Manifests kept per snapshot name (>= 1). Older ones are pruned and
     /// their now-unreferenced chunks evicted.
     std::uint32_t keep_manifests = 4;
     /// Run retention + chunk GC after a put() that pushes its snapshot
     /// past keep_manifests.
     bool auto_gc = true;
-    /// Log-structured engine knobs (extent size, cache, compression).
-    ChunkEngine::Options engine;
   };
 
   explicit CheckpointStore(std::filesystem::path root, Options opts);

@@ -2,21 +2,42 @@
 
 #include <fstream>
 #include <ostream>
+#include <utility>
 
 #include "fir/optimize.hpp"
 #include "fir/printer.hpp"
 #include "fir/typecheck.hpp"
 #include "frontend/compile.hpp"
 #include "migrate/image.hpp"
+#include "obs/metrics.hpp"
 
 namespace mojave {
+
+namespace {
+
+/// Publish what the optimizer did as `fir.*` counters (`mojc --stats`).
+void publish(const fir::OptimizeStats& s) {
+  auto& reg = obs::MetricsRegistry::instance();
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"fir.constants_folded", s.constants_folded},
+      {"fir.copies_propagated", s.copies_propagated},
+      {"fir.branches_folded", s.branches_folded},
+      {"fir.dead_lets_removed", s.dead_lets_removed},
+      {"fir.exprs_reused", s.exprs_reused},
+      {"fir.reads_eliminated", s.reads_eliminated},
+      {"fir.stores_forwarded", s.stores_forwarded},
+  };
+  for (const auto& [name, n] : counts) reg.counter(name).inc(n);
+}
+
+}  // namespace
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {}
 
 fir::Program Engine::compile(const std::string& name,
                              const std::string& source) const {
   fir::Program program = frontend::compile_source(name, source);
-  if (options_.optimize) fir::optimize(program);
+  if (options_.optimize) publish(fir::optimize(program));
   fir::typecheck(program);
   if (options_.dump_fir != nullptr) {
     *options_.dump_fir << fir::to_string(program);

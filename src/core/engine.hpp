@@ -27,7 +27,9 @@ namespace mojave {
 /// the migrate()/checkpoint primitives work out of the box.
 struct EngineOptions {
   vm::ProcessConfig process;
-  /// Run the FIR optimizer (constant folding, copy propagation, DCE).
+  /// Run the FIR optimizer (constant folding, copy propagation, CSE,
+  /// read elimination and store forwarding, DCE); its counts go to the
+  /// `fir.*` metrics.
   bool optimize = true;
   /// Dump the FIR of every compiled program to this stream (diagnostics).
   std::ostream* dump_fir = nullptr;

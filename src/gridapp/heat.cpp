@@ -4,6 +4,8 @@
 #include <limits>
 #include <sstream>
 
+#include "fir/optimize.hpp"
+#include "fir/typecheck.hpp"
 #include "frontend/compile.hpp"
 #include "support/error.hpp"
 
@@ -175,7 +177,13 @@ int main() {
 }
 
 fir::Program heat_program(const HeatConfig& cfg) {
-  return frontend::compile_source("heat", heat_mojc_source(cfg));
+  // The same pipeline as Engine::compile, so the grid suites run the FIR
+  // that `mojc cluster` ships.
+  fir::Program program =
+      frontend::compile_source("heat", heat_mojc_source(cfg));
+  (void)fir::optimize(program);
+  fir::typecheck(program);
+  return program;
 }
 
 std::vector<double> heat_reference_sums(const HeatConfig& cfg) {

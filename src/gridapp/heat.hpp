@@ -40,7 +40,8 @@ struct HeatConfig {
 /// The MojC source of the per-node (SPMD) program.
 [[nodiscard]] std::string heat_mojc_source(const HeatConfig& cfg);
 
-/// Compiled FIR for the program (typechecks as a side effect).
+/// Compiled, optimized and typechecked FIR for the program, as
+/// Engine::compile (and so `mojc cluster`) builds it.
 [[nodiscard]] fir::Program heat_program(const HeatConfig& cfg);
 
 /// Bit-exact sequential reference: the per-rank interior sums after

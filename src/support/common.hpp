@@ -30,4 +30,26 @@ using SpecLevel = std::uint32_t;
 /// Label correlating a runtime migration point with its FIR location.
 using MigrateLabel = std::uint32_t;
 
+/// Two's-complement wrapping int64 arithmetic. Signed overflow is undefined
+/// behaviour in C++, so the interpreter and the FIR constant folder compute
+/// through uint64_t and wrap exactly as the native tier's add/sub/imul/neg.
+[[nodiscard]] constexpr std::int64_t wrapping_add(std::int64_t a,
+                                                  std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+[[nodiscard]] constexpr std::int64_t wrapping_sub(std::int64_t a,
+                                                  std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+[[nodiscard]] constexpr std::int64_t wrapping_mul(std::int64_t a,
+                                                  std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+[[nodiscard]] constexpr std::int64_t wrapping_neg(std::int64_t a) {
+  return wrapping_sub(0, a);
+}
+
 }  // namespace mojave

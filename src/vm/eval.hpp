@@ -17,7 +17,7 @@ inline runtime::Value eval_unop(fir::Unop op, const runtime::Value& a) {
   using runtime::Value;
   switch (op) {
     case Unop::kNeg:
-      return Value::from_int(-a.as_int());
+      return Value::from_int(wrapping_neg(a.as_int()));
     case Unop::kNot:
       return Value::from_int(a.as_int() == 0 ? 1 : 0);
     case Unop::kBitNot:
@@ -38,11 +38,11 @@ inline runtime::Value eval_binop(fir::Binop op, const runtime::Value& a,
   using runtime::Value;
   switch (op) {
     case Binop::kAdd:
-      return Value::from_int(a.as_int() + b.as_int());
+      return Value::from_int(wrapping_add(a.as_int(), b.as_int()));
     case Binop::kSub:
-      return Value::from_int(a.as_int() - b.as_int());
+      return Value::from_int(wrapping_sub(a.as_int(), b.as_int()));
     case Binop::kMul:
-      return Value::from_int(a.as_int() * b.as_int());
+      return Value::from_int(wrapping_mul(a.as_int(), b.as_int()));
     case Binop::kDiv: {
       const std::int64_t d = b.as_int();
       if (d == 0) throw SafetyError("integer division by zero");
